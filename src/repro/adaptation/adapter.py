@@ -48,17 +48,19 @@ def align_source_to_target(
     """
     c = projected_source.n_features
     out = np.zeros((c, n_target_users, n_target_users))
-    source_values = projected_source.values
-    anchored = [
-        (t, s)
-        for t, s in anchors.pairs
-        if 0 <= t < n_target_users and 0 <= s < projected_source.n_users
-    ]
-    for t_i, s_i in anchored:
-        for t_j, s_j in anchored:
-            if t_i == t_j:
-                continue
-            out[:, t_i, t_j] = source_values[:, s_i, s_j]
+    anchored = np.array(
+        [
+            (t, s)
+            for t, s in anchors.pairs
+            if 0 <= t < n_target_users and 0 <= s < projected_source.n_users
+        ],
+        dtype=int,
+    ).reshape(-1, 2)
+    target, source = anchored[:, 0], anchored[:, 1]
+    # Anchors are one-to-one, so the scatter writes each target pair once.
+    for out_slice, source_slice in zip(out, projected_source.values):
+        out_slice[np.ix_(target, target)] = source_slice[np.ix_(source, source)]
+        out_slice[target, target] = 0.0
     return FeatureTensor(out, projected_source.feature_names)
 
 

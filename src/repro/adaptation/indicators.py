@@ -20,7 +20,7 @@ import numpy as np
 from repro.exceptions import AlignmentError
 from repro.features.tensor import FeatureTensor
 from repro.networks.aligned import AnchorLinks
-from repro.networks.social import SocialGraph
+from repro.networks.social import SocialGraph, without_pairs
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import check_integer
 
@@ -77,6 +77,7 @@ def sample_link_instances(
     forced_pairs:
         Pairs that must be included (used to inject anchor-images of the
         target's sample into source samples); they count toward the budget.
+        Each is canonicalized to i < j and included once.
     """
     n_instances = check_integer(n_instances, "n_instances", minimum=1)
     if tensor.n_users != graph.n_users:
@@ -84,6 +85,7 @@ def sample_link_instances(
             f"tensor covers {tensor.n_users} users but graph has {graph.n_users}"
         )
     rng = ensure_rng(random_state)
+    n = graph.n_users
     chosen: List[Tuple[int, int]] = []
     seen = set()
     for i, j in forced_pairs:
@@ -91,17 +93,18 @@ def sample_link_instances(
         if pair not in seen:
             seen.add(pair)
             chosen.append(pair)
-    links = sorted(graph.links() - seen)
-    non_links = sorted(set(graph.non_links()) - seen)
     remaining = max(0, n_instances - len(chosen))
-    want_links = min(remaining // 2, len(links))
-    want_non = min(remaining - want_links, len(non_links))
-    if want_links:
-        idx = rng.choice(len(links), size=want_links, replace=False)
-        chosen.extend(links[i] for i in sorted(idx.tolist()))
-    if want_non:
-        idx = rng.choice(len(non_links), size=want_non, replace=False)
-        chosen.extend(non_links[i] for i in sorted(idx.tolist()))
+    link_rows, link_cols = without_pairs(graph.link_pairs(), chosen, n)
+    non_rows, non_cols = without_pairs(graph.non_link_pairs(), chosen, n)
+    want_links = min(remaining // 2, link_rows.size)
+    want_non = min(remaining - want_links, non_rows.size)
+    for rows, cols, want in (
+        (link_rows, link_cols, want_links),
+        (non_rows, non_cols, want_non),
+    ):
+        if want:
+            idx = np.sort(rng.choice(rows.size, size=want, replace=False))
+            chosen.extend(zip(rows[idx].tolist(), cols[idx].tolist()))
     adjacency = graph.adjacency
     labels = np.array([adjacency[i, j] for i, j in chosen], dtype=float)
     features = tensor.pair_vectors(chosen).T  # (d, m)

@@ -9,12 +9,12 @@ of sampled never-existing pairs (negatives).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Set, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
 from repro.exceptions import EvaluationError
-from repro.networks.social import SocialGraph
+from repro.networks.social import SocialGraph, without_pairs
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import check_integer
 
@@ -56,7 +56,7 @@ def sample_negative_pairs(
     graph: SocialGraph,
     count: int,
     random_state: RandomState = None,
-    exclude: Set[Pair] = frozenset(),
+    exclude: Iterable[Pair] = frozenset(),
     strategy: str = "uniform",
 ) -> List[Pair]:
     """Sample ``count`` non-link pairs without replacement.
@@ -71,9 +71,28 @@ def sample_negative_pairs(
         topped up uniformly.
     exclude:
         Extra pairs removed from the candidate pool (e.g. pairs already
-        used by another fold).
+        used by another fold), in either orientation.
 
     Raises :class:`EvaluationError` when the pool is too small.
+    """
+    rows, cols = sample_negative_arrays(
+        graph, count, random_state, exclude, strategy
+    )
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def sample_negative_arrays(
+    graph: SocialGraph,
+    count: int,
+    random_state: RandomState = None,
+    exclude: Iterable[Pair] = frozenset(),
+    strategy: str = "uniform",
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`sample_negative_pairs` as ``(rows, cols)`` index arrays.
+
+    Draws from :meth:`SocialGraph.non_link_pairs` in its sorted order, so
+    the pairs and the generator's state match a draw over the sorted list
+    of non-link tuples.
     """
     count = check_integer(count, "count", minimum=0)
     if strategy not in ("uniform", "two_hop"):
@@ -82,31 +101,39 @@ def sample_negative_pairs(
             "use 'uniform' or 'two_hop'"
         )
     rng = ensure_rng(random_state)
-    pool = [p for p in graph.non_links() if p not in exclude]
-    if count > len(pool):
+    rows, cols = without_pairs(graph.non_link_pairs(), exclude, graph.n_users)
+    if count > rows.size:
         raise EvaluationError(
-            f"requested {count} negative pairs but only {len(pool)} non-links "
+            f"requested {count} negative pairs but only {rows.size} non-links "
             "are available"
         )
     if count == 0:
-        return []
-    if strategy == "two_hop":
-        adjacency = graph.adjacency
-        two_hop = adjacency @ adjacency
-        hard = [p for p in pool if two_hop[p] > 0]
-        easy = [p for p in pool if two_hop[p] == 0]
-        chosen: List[Pair] = []
-        n_hard = min(count, len(hard))
-        if n_hard:
-            idx = rng.choice(len(hard), size=n_hard, replace=False)
-            chosen.extend(hard[i] for i in sorted(idx.tolist()))
-        remaining = count - len(chosen)
-        if remaining:
-            idx = rng.choice(len(easy), size=remaining, replace=False)
-            chosen.extend(easy[i] for i in sorted(idx.tolist()))
-        return chosen
-    idx = rng.choice(len(pool), size=count, replace=False)
-    return [pool[i] for i in sorted(idx.tolist())]
+        return rows[:0], cols[:0]
+    if strategy == "uniform":
+        idx = _draw(rng, rows.size, count)
+        return rows[idx], cols[idx]
+    adjacency = graph.adjacency
+    hard = (adjacency @ adjacency)[rows, cols] > 0
+    (hard_idx,) = np.nonzero(hard)
+    (easy_idx,) = np.nonzero(~hard)
+    n_hard = min(count, hard_idx.size)
+    idx = np.concatenate(
+        [
+            hard_idx[_draw(rng, hard_idx.size, n_hard)],
+            easy_idx[_draw(rng, easy_idx.size, count - n_hard)],
+        ]
+    )
+    return rows[idx], cols[idx]
+
+
+def _draw(rng, n: int, size: int) -> np.ndarray:
+    """``size`` sorted indices drawn from ``range(n)`` without replacement.
+
+    ``size == 0`` makes no draw, so the generator state is left alone.
+    """
+    if size == 0:
+        return np.zeros(0, dtype=int)
+    return np.sort(rng.choice(n, size=size, replace=False))
 
 
 def k_fold_link_splits(
@@ -143,7 +170,8 @@ def k_fold_link_splits(
             f"negative_ratio must be positive, got {negative_ratio}"
         )
     rng = ensure_rng(random_state)
-    links = sorted(graph.links())
+    rows, cols = graph.link_pairs()
+    links = list(zip(rows.tolist(), cols.tolist()))
     if len(links) < n_folds:
         raise EvaluationError(
             f"cannot make {n_folds} folds from {len(links)} links"

@@ -89,6 +89,10 @@ class FeatureTensor:
             return np.zeros((0, self.n_features))
         rows = np.array([p[0] for p in pairs], dtype=int)
         cols = np.array([p[1] for p in pairs], dtype=int)
+        return self.pair_rows(rows, cols)
+
+    def pair_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """:meth:`pair_vectors` of the pairs ``zip(rows, cols)``."""
         return self._values[:, rows, cols].T.copy()
 
     # ------------------------------------------------------------------

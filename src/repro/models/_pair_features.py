@@ -78,15 +78,17 @@ def sample_training_pairs(
     availability) — the class-imbalanced regime the paper says
     classification models struggle with.
     """
-    rng = ensure_rng(random_state)
-    positives = sorted(task.training_graph.links())
-    negatives = task.training_graph.non_links()
-    n_negative = min(len(negatives), int(round(len(positives) * negative_ratio)))
-    if n_negative and negatives:
-        idx = rng.choice(len(negatives), size=n_negative, replace=False)
-        sampled_negatives = [negatives[i] for i in sorted(idx.tolist())]
-    else:
-        sampled_negatives = []
+    from repro.evaluation.splits import sample_negative_pairs
+
+    graph = task.training_graph
+    rows, cols = graph.link_pairs()
+    positives = list(zip(rows.tolist(), cols.tolist()))
+    n_negative = min(
+        graph.n_non_links, int(round(len(positives) * negative_ratio))
+    )
+    sampled_negatives = sample_negative_pairs(
+        graph, n_negative, ensure_rng(random_state)
+    )
     pairs = positives + sampled_negatives
     labels = np.concatenate(
         [np.ones(len(positives)), np.zeros(len(sampled_negatives))]

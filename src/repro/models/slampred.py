@@ -744,12 +744,10 @@ class SlamPred(MatrixPredictor):
         """
         from scipy.stats import rankdata
 
-        from repro.evaluation.splits import sample_negative_pairs
         from repro.models.classifiers import LogisticRegression
 
         n = latent_blocks[0].shape[1]
-        links = sorted(graph.links())
-        if not links:
+        if not graph.n_links:
             # Degenerate linkless graph: the calibration has nothing to fit
             # on, so the gradient is identically zero.  Returned as an
             # empty CSR matrix — allocating a dense n×n of zeros here cost
@@ -766,14 +764,7 @@ class SlamPred(MatrixPredictor):
             std = np.where(std > 0, std, 1.0)
             scaled.append(alpha * block / std[:, None, None])
         features = np.concatenate(scaled + list(coverage_blocks))  # (D, n, n)
-        rng = _ensure_rng(random_state)
-        negatives = sample_negative_pairs(
-            graph, min(len(links), len(graph.non_links())), rng
-        )
-        pairs = links + negatives
-        labels = np.concatenate([np.ones(len(links)), np.zeros(len(negatives))])
-        rows = np.array([p[0] for p in pairs])
-        cols = np.array([p[1] for p in pairs])
+        rows, cols, labels = _calibration_pairs(graph, random_state)
         train_features = features[:, rows, cols].T
         model = LogisticRegression(l2=1.0, standardize=False)
         model.fit(train_features, labels)
@@ -808,21 +799,14 @@ class SlamPred(MatrixPredictor):
         uniform sum is the special case of equal weights; the learned
         combination plays the role of the original curated scores.
         """
-        from repro.evaluation.splits import sample_negative_pairs
         from repro.models.classifiers import LogisticRegression
 
-        links = sorted(graph.links())
         n = tensor.n_users
-        if not links:
+        if not graph.n_links:
             return np.abs(tensor.normalized().values).mean(axis=0)
-        rng = _ensure_rng(random_state)
-        negatives = sample_negative_pairs(
-            graph, min(len(links), len(graph.non_links())), rng
-        )
-        pairs = links + negatives
-        labels = np.concatenate([np.ones(len(links)), np.zeros(len(negatives))])
+        rows, cols, labels = _calibration_pairs(graph, random_state)
         model = LogisticRegression(l2=1.0)
-        model.fit(tensor.pair_vectors(pairs), labels)
+        model.fit(tensor.pair_rows(rows, cols), labels)
         flat = tensor.values.reshape(tensor.n_features, -1).T  # (n², d)
         # Quantile-transformed logits: monotone in the propensity, uniformly
         # spread over [0, 1].  Min-max or sigmoid scaling would let outliers
@@ -855,6 +839,28 @@ class SlamPredH(SlamPred):
 
 
 _NULL_TRACER = NullTracer()
+
+
+def _calibration_pairs(graph, random_state):
+    """``(rows, cols, labels)``: every link, then as many sampled non-links.
+
+    The training set of the intimacy calibrations; links come first in
+    sorted pair order, labelled 1, and the uniform negatives follow.
+    """
+    from repro.evaluation.splits import sample_negative_arrays
+
+    link_rows, link_cols = graph.link_pairs()
+    negative_rows, negative_cols = sample_negative_arrays(
+        graph,
+        min(link_rows.size, graph.n_non_links),
+        _ensure_rng(random_state),
+    )
+    rows = np.concatenate([link_rows, negative_rows])
+    cols = np.concatenate([link_cols, negative_cols])
+    labels = np.concatenate(
+        [np.ones(link_rows.size), np.zeros(negative_rows.size)]
+    )
+    return rows, cols, labels
 
 
 def _full_graph(network) -> "SocialGraph":

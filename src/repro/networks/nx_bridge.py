@@ -26,7 +26,7 @@ def social_graph_to_networkx(graph: SocialGraph) -> nx.Graph:
     out = nx.Graph()
     out.add_nodes_from(graph.user_ids)
     user_ids = graph.user_ids
-    for i, j in sorted(graph.links()):
+    for i, j in sorted(graph.links()):  # pairs-ok: an export, O(links)
         out.add_edge(user_ids[i], user_ids[j])
     return out
 

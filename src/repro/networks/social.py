@@ -5,11 +5,16 @@ structure.  :class:`SocialGraph` snapshots that structure into dense numpy
 form once, so repeated neighborhood queries do not re-walk the link set, and
 supports *masking* (hiding held-out test links) which the evaluation harness
 uses to build training views.
+
+Pairs are exposed as upper-triangle index arrays (:meth:`SocialGraph.link_pairs`,
+:meth:`SocialGraph.non_link_pairs`) in sorted ``(i, j)`` order.  Samplers
+draw from those arrays directly: a list of tuples over every non-link is
+O(n²) Python objects, which cost more than the numerics of a fit.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -53,6 +58,8 @@ class SocialGraph:
         self._index = {u: i for i, u in enumerate(self._user_ids)}
         if len(self._index) != n:
             raise NetworkError("user_ids contains duplicates")
+        self._link_pairs: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._non_link_pairs: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -99,6 +106,12 @@ class SocialGraph:
         """Number of undirected links."""
         return int(self._adjacency.sum() // 2)
 
+    @property
+    def n_non_links(self) -> int:
+        """Number of absent pairs (i < j)."""
+        n = self.n_users
+        return n * (n - 1) // 2 - self.n_links
+
     def index_of(self, user_id: int) -> int:
         """Dense index of an original user id."""
         try:
@@ -118,14 +131,36 @@ class SocialGraph:
         """Dense indices of the neighbors of ``i``."""
         return set(np.flatnonzero(self._adjacency[i]).tolist())
 
+    def link_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, cols)`` of every link with i < j, in sorted pair order.
+
+        The arrays are computed once and shared (read-only) by every caller.
+        """
+        if self._link_pairs is None:
+            rows, cols = np.nonzero(np.triu(self._adjacency, k=1))
+            self._link_pairs = _frozen(rows, cols)
+        return self._link_pairs
+
+    def non_link_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, cols)`` of every absent pair with i < j, in sorted order.
+
+        The candidate set for prediction; computed once and shared
+        (read-only) like :meth:`link_pairs`.
+        """
+        if self._non_link_pairs is None:
+            rows, cols = np.triu_indices(self.n_users, k=1)
+            absent = self._adjacency[rows, cols] == 0
+            self._non_link_pairs = _frozen(rows[absent], cols[absent])
+        return self._non_link_pairs
+
     def links(self) -> FrozenSet[Tuple[int, int]]:
         """All links as canonical dense-index pairs (i < j)."""
-        rows, cols = np.nonzero(np.triu(self._adjacency, k=1))
+        rows, cols = self.link_pairs()
         return frozenset(zip(rows.tolist(), cols.tolist()))
 
     def non_links(self) -> List[Tuple[int, int]]:
-        """All absent pairs (i < j) — the candidate set for prediction."""
-        rows, cols = np.nonzero(np.triu(1.0 - self._adjacency, k=1))
+        """All absent pairs (i < j) as tuples; prefer :meth:`non_link_pairs`."""
+        rows, cols = self.non_link_pairs()
         return list(zip(rows.tolist(), cols.tolist()))
 
     def common_neighbors(self, i: int, j: int) -> Set[int]:
@@ -141,3 +176,33 @@ class SocialGraph:
 
     def __repr__(self) -> str:
         return f"SocialGraph(n_users={self.n_users}, n_links={self.n_links})"
+
+
+def _frozen(rows: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
+def without_pairs(
+    pairs: Tuple[np.ndarray, np.ndarray],
+    excluded: Iterable[Tuple[int, int]],
+    n_users: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``pairs`` (upper-triangle ``(rows, cols)``) minus ``excluded``.
+
+    Excluded pairs count in either orientation, so ``(j, i)`` removes
+    ``(i, j)``; self-pairs and pairs outside ``[0, n_users)`` match
+    nothing.  Matching runs on linear codes ``i * n_users + j``, so no
+    n×n mask is built.  The order of the kept pairs is unchanged.
+    """
+    codes = []
+    for i, j in excluded:
+        i, j = int(min(i, j)), int(max(i, j))
+        if 0 <= i < j < n_users:
+            codes.append(i * n_users + j)
+    rows, cols = pairs
+    if codes:
+        keep = ~np.isin(rows * n_users + cols, codes)
+        rows, cols = rows[keep], cols[keep]
+    return rows, cols

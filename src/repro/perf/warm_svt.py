@@ -20,11 +20,16 @@ subspace iteration (Halko, Martinsson & Tropp 2011):
    value falls below it), and when the retained rank sits well below
    the budget the rank shrinks back;
 3. the result is *verified*, not hoped for: Ritz values must stabilize
-   across power iterations and every retained triplet must satisfy
-   ``‖A v_i − σ_i u_i‖ ≤ residual_tol · σ_max``.  Any doubt — including
-   an injected ``solver.svd.truncated`` fault — falls back to the exact
-   dense prox (the same backstop the legacy truncated path used), so
-   the operator is never silently lossy.
+   across power iterations, and every retained triplet must satisfy a
+   residual bound ``≤ residual_tol · σ_max`` on the side its
+   Rayleigh–Ritz step leaves inexact.  The dense path takes the triplets
+   from the last refinement's ``A v = q r`` (an SVD of the small ``r``),
+   which makes ``A v_i = σ_i u_i`` exact, so it checks
+   ``‖Aᵀ u_i − σ_i v_i‖``; the factored path projects ``qᵀA`` and checks
+   ``‖A v_i − σ_i u_i‖``.  Any doubt — including an injected
+   ``solver.svd.truncated`` fault — falls back to the exact dense prox
+   (the same backstop the legacy truncated path used), so the operator
+   is never silently lossy.
 
 With a ``max_rank`` cap the engine instead reproduces the semantics of
 the legacy *truncated* path (a model's ``svd_rank``): the rank never
@@ -328,6 +333,14 @@ class WarmStartSVT:
         values only sharpen upward, so the sketch is certain to be too
         narrow and every further refinement on it would be wasted — the
         caller grows the rank and rebuilds instead.
+
+        The Rayleigh–Ritz step reuses the converged refinement: it already
+        holds ``A v = q r`` with orthonormal ``v`` and ``q``, so the SVD
+        ``r = u_r Σ w_rᵀ`` of the small ``b×b`` factor gives
+        ``U = q u_r``, ``V = v w_r`` with ``A V = U Σ``.  Projecting
+        ``qᵀA`` instead would cost one more ``n×n×b`` product and a
+        ``b×n`` SVD; :meth:`_residuals_ok` checks the ``Aᵀ`` side that
+        this construction leaves open.
         """
         n = matrix.shape[1]
         sketch = np.empty((n, budget))
@@ -344,7 +357,6 @@ class WarmStartSVT:
         ritz = estimates
         if can_grow and ritz[-1] > threshold:
             return None, ritz
-        converged = False
         for refinement in range(self.max_refinements):
             self.stats["refinements"] += 1
             v, _ = np.linalg.qr(matrix.T @ q)
@@ -354,16 +366,11 @@ class WarmStartSVT:
                 return None, ritz
             scale = max(float(ritz[0]), np.finfo(float).tiny)
             if np.max(np.abs(ritz - estimates)) <= tolerance * scale:
-                converged = True
-                break
+                # Rayleigh–Ritz through r (see above): A (v w_r) = (q u_r) Σ.
+                u_r, singular, w_rt = np.linalg.svd(r)
+                return (q @ u_r, singular, w_rt @ v.T), singular
             estimates = ritz
-        if not converged:
-            return None, ritz
-        # Rayleigh–Ritz on the converged range.
-        small = q.T @ matrix
-        u_small, singular, vt = np.linalg.svd(small, full_matrices=False)
-        u = q @ u_small
-        return (u, singular, vt), ritz
+        return None, ritz
 
     def _residuals_ok(
         self,
@@ -374,11 +381,16 @@ class WarmStartSVT:
         retained: int,
         capped: bool,
     ) -> bool:
-        """``‖A v_i − σ_i u_i‖ ≤ tol · σ_max`` for every retained i."""
+        """``‖Aᵀ u_i − σ_i v_i‖ ≤ tol · σ_max`` for every retained i.
+
+        The triplets come from :meth:`_randomized_factors`, whose
+        Rayleigh–Ritz step makes ``A v_i = σ_i u_i`` exact, so the
+        residual that can still be large is the transposed one.
+        """
         if retained == 0:
             return True
-        image = matrix @ vt[:retained].T
-        image -= u[:, :retained] * singular[:retained]
+        image = matrix.T @ u[:, :retained]
+        image -= vt[:retained].T * singular[:retained]
         worst = float(np.linalg.norm(image, axis=0).max())
         scale = max(float(singular[0]), np.finfo(float).tiny)
         tolerance = self.lossy_residual_tol if capped else self.residual_tol
@@ -571,10 +583,12 @@ class WarmStartSVT:
         """:meth:`_randomized_factors` driven through matvec closures.
 
         Deliberately a sibling of the dense version rather than a shared
-        implementation: the dense hot path's numerics are pinned by golden
-        regressions, so it keeps its exact expressions while this one
-        phrases every product as ``mm``/``rmm`` (``q.T @ A`` becomes
-        ``rmm(q).T`` — same sums, operator-friendly form).
+        implementation: it phrases every product as ``mm``/``rmm`` and
+        keeps the projected Rayleigh–Ritz step (``qᵀA`` as ``rmm(q).T``),
+        which makes ``Aᵀ u_i = σ_i v_i`` exact, so
+        :meth:`_residuals_ok_op` checks the ``A`` side.  Unlike the dense
+        version it returns triplets even when the refinements do not
+        settle.
 
         Returns ``(factors, ritz, converged)``.  ``factors`` is ``None``
         only on the rank-growth early exits; a refinement budget that
@@ -618,7 +632,12 @@ class WarmStartSVT:
     def _residuals_ok_op(
         self, mm, u, singular, vt, retained: int, capped: bool
     ) -> bool:
-        """:meth:`_residuals_ok` through the operand's matvec closure."""
+        """``‖A v_i − σ_i u_i‖ ≤ tol · σ_max`` through the matvec closure.
+
+        The side left open by :meth:`_randomized_factors_op`'s projected
+        Rayleigh–Ritz step (the dense :meth:`_residuals_ok` checks the
+        other side, for the other construction).
+        """
         if retained == 0:
             return True
         image = mm(vt[:retained].T)

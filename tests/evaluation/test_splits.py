@@ -34,6 +34,20 @@ class TestNegativeSampling:
         )
         assert not any(p in excluded for p in negatives)
 
+    def test_exclusion_matches_reversed_pairs(self, target_graph):
+        # The pool holds (i, j) with i < j; an excluded (j, i) names the
+        # same pair and must be removed too.
+        pool = target_graph.non_links()
+        excluded = {(j, i) for i, j in pool[:5]}
+        negatives = sample_negative_pairs(
+            target_graph, len(pool) - 5, random_state=0, exclude=excluded
+        )
+        assert sorted(negatives) == pool[5:]
+        with pytest.raises(EvaluationError, match="negative"):
+            sample_negative_pairs(
+                target_graph, len(pool) - 4, random_state=0, exclude=excluded
+            )
+
     def test_too_many_raises(self):
         graph = SocialGraph(pairs_to_matrix([(0, 1)], 3))
         with pytest.raises(EvaluationError, match="negative"):

@@ -221,6 +221,92 @@ class TestRankCap:
             WarmStartSVT(max_rank=0)
 
 
+def _low_rank_plus_noise(seed: int, n: int, rank: int, noise: float):
+    """``(matrix, threshold)`` with the threshold in the signal/noise gap."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, n))
+    matrix += noise * rng.normal(size=(n, n))
+    spectrum = np.linalg.svd(matrix, compute_uv=False)
+    return matrix, float(np.sqrt(spectrum[rank - 1] * spectrum[rank]))
+
+
+def _spy_factors(engine: WarmStartSVT, perturb=None) -> list:
+    """Record (matrix, factors) from each randomized-path return.
+
+    ``perturb`` optionally rewrites the factors before the engine sees them.
+    """
+    captured = []
+    original = engine._randomized_factors
+
+    def spy(matrix, *args):
+        factors, ritz = original(matrix, *args)
+        if factors is not None:
+            if perturb is not None:
+                factors = perturb(*factors)
+            captured.append((matrix, factors))
+        return factors, ritz
+
+    engine._randomized_factors = spy
+    return captured
+
+
+class TestTripletVerification:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**20),
+        rank=st.integers(1, 6),
+        noise=st.floats(1e-12, 1e-8),
+    )
+    def test_retained_triplets_satisfy_both_residuals(self, seed, rank, noise):
+        """Uncapped: ‖Av − σu‖ and ‖Aᵀu − σv‖ both within residual_tol.
+
+        The noise stays small enough for every Ritz value in the sketch to
+        settle to ``ritz_tol``; louder noise exhausts the refinement budget
+        and goes dense before any triplet is returned.
+        """
+        n = 40
+        matrix, threshold = _low_rank_plus_noise(seed, n, rank, noise)
+        engine = WarmStartSVT(**FORCE_RANDOMIZED)
+        captured = _spy_factors(engine)
+        out = engine.apply(matrix, threshold)
+        np.testing.assert_allclose(
+            out, singular_value_threshold(matrix, threshold), atol=1e-8
+        )
+        assert engine.stats["dense_fallbacks"] == 0
+        assert captured
+        a, (u, singular, vt) = captured[-1]
+        retained = int(np.count_nonzero(singular > threshold))
+        assert retained == rank
+        bound = engine.residual_tol * singular[0]
+        v = vt[:retained].T
+        u = u[:, :retained]
+        sigma = singular[:retained]
+        assert np.linalg.norm(a @ v - u * sigma, axis=0).max() <= bound
+        assert np.linalg.norm(a.T @ u - v * sigma, axis=0).max() <= bound
+
+    def test_perturbed_right_subspace_takes_dense_fallback(self):
+        """A wrong right subspace fails the check and goes dense, loudly."""
+        matrix, threshold = _low_rank_plus_noise(5, 40, 4, 1e-10)
+        tilt = np.random.default_rng(6).normal(size=(40, 40))
+
+        def perturb(u, singular, vt):
+            v, _ = np.linalg.qr(vt.T + 1e-3 * tilt[:, : vt.shape[0]])
+            return u, singular, v.T
+
+        engine = WarmStartSVT(**FORCE_RANDOMIZED)
+        captured = _spy_factors(engine, perturb)
+        tracer = Tracer(MetricsRegistry())
+        with pytest.warns(TruncatedSVTWarning, match="residual too large"):
+            out = engine.apply(matrix, threshold, tracer=tracer)
+        np.testing.assert_allclose(
+            out, singular_value_threshold(matrix, threshold), atol=1e-10
+        )
+        assert engine.stats["dense_fallbacks"] == 1
+        assert tracer.counters["svt.dense_fallbacks"] == 1
+        a, (u, singular, vt) = captured[-1]
+        assert not engine._residuals_ok(a, u, singular, vt, 4, capped=False)
+
+
 class TestObservability:
     def test_tracer_metrics_and_registry_bridge(self):
         matrix = _spectrum_matrix(17, N, 4.0 * 0.7 ** np.arange(N))

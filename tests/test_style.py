@@ -50,9 +50,14 @@ def test_checker_catches_violations(tmp_path):
         "ones = np.ones((n_users, n_users))\n"
         "rectangular = np.zeros((n, k))\n"
         "typed = np.full((m, m), 0.5)\n"
+        "pool = graph.non_links()\n"
+        "ordered = sorted(task.training_graph.links())\n"
+        "export = sorted(graph.links())  # pairs-ok: small export\n"
+        "rest = sorted(graph.links() - seen)\n"
+        "members = graph.links()\n"
     )
     violations = check_style.check_file(str(bad))
-    assert len(violations) == 6
+    assert len(violations) == 9
     assert any("time.time()" in v and ":2:" in v for v in violations)
     assert any("print()" in v and ":4:" in v for v in violations)
     assert any("bare except" in v and ":7:" in v for v in violations)
@@ -62,3 +67,9 @@ def test_checker_catches_violations(tmp_path):
     assert any(":16:" in v for v in dense)
     assert any(":18:" in v for v in dense)
     assert not any(":15:" in v or ":17:" in v for v in dense)
+    pairs = [v for v in violations if "tuple list" in v]
+    assert len(pairs) == 3
+    assert any(":19:" in v for v in pairs)
+    assert any(":20:" in v for v in pairs)
+    assert any(":22:" in v for v in pairs)
+    assert not any(":21:" in v or ":23:" in v for v in pairs)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Observability and reliability style gate for ``src/repro``.
 
-Four rules, all born from real production bugs:
+Five rules, all born from real production bugs:
 
 1. **No ``time.time()`` duration arithmetic.**  Wall-clock time jumps
    (NTP slew, suspend/resume) corrupt latency and uptime numbers; all
@@ -33,6 +33,14 @@ Four rules, all born from real production bugs:
    with a ``# dense-ok`` comment on the same line, which doubles as
    reviewer documentation of why quadratic memory is acceptable there.
 
+5. **No tuple lists over every pair.**  ``SocialGraph.non_links()``
+   builds O(n²) Python tuples, and ``sorted(graph.links())`` re-sorts a
+   set of tuples into the order ``link_pairs()`` already has.  In the fit
+   path that list work once cost more than the numerics.  Library code
+   draws from the ``link_pairs()`` / ``non_link_pairs()`` index arrays
+   instead.  A line that genuinely wants the tuples (an O(links) export,
+   say) opts out with a ``# pairs-ok`` comment on the same line.
+
 Run from the repo root::
 
     python tools/check_style.py
@@ -52,6 +60,7 @@ SRC_ROOT = os.path.join(REPO_ROOT, "src", "repro")
 
 WALL_CLOCK_MARKER = "# wall-clock"
 DENSE_OK_MARKER = "# dense-ok"
+PAIRS_OK_MARKER = "# pairs-ok"
 
 # Presentation layers whose stdout IS the product (tables, CLI banners).
 PRINT_ALLOWLIST = (
@@ -68,6 +77,9 @@ _DENSE_SQUARE = re.compile(
     r"\bnp\.(?:zeros|ones|empty|full)\(\s*\(\s*"
     r"([A-Za-z_][A-Za-z0-9_]*)\s*,\s*\1\s*[,)]"
 )
+
+# graph.non_links() anywhere, and sorted(graph.links()) / sorted(x.links() - y).
+_PAIR_LISTS = re.compile(r"\.non_links\(\)|\bsorted\(\s*[\w.]+\.links\(\)")
 
 
 def _relative(path: str) -> str:
@@ -107,6 +119,12 @@ def check_file(path: str) -> list:
                     "factored path must stay O(nk); use scipy.sparse or "
                     "FactoredEstimate, or mark a deliberate dense-path "
                     f"site with '{DENSE_OK_MARKER}'"
+                )
+            if _PAIR_LISTS.search(line) and PAIRS_OK_MARKER not in line:
+                violations.append(
+                    f"{relpath}:{lineno}: tuple list over all pairs — draw "
+                    "from SocialGraph.link_pairs()/non_link_pairs() index "
+                    f"arrays, or mark a deliberate site with '{PAIRS_OK_MARKER}'"
                 )
     return violations
 
