@@ -184,7 +184,7 @@ def test_batcher_throughput(benchmark, served):
 
     def run():
         served.cache.invalidate()
-        with MicroBatcher(served, max_batch=64, max_wait_ms=2.0) as batcher:
+        with MicroBatcher(served, max_batch=64) as batcher:
             errors = []
 
             def worker(offset):

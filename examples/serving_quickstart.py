@@ -64,7 +64,7 @@ def main() -> None:
 
     # 3. Serve it: service + micro-batcher + HTTP endpoint on a free port.
     service = LinkPredictionService(store, cache_size=256)
-    with MicroBatcher(service, max_batch=32, max_wait_ms=2.0) as batcher:
+    with MicroBatcher(service, max_batch=32) as batcher:
         server = make_server(service, port=0, batcher=batcher)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()

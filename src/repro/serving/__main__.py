@@ -156,12 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch", type=int, default=64, help="micro-batcher batch bound"
     )
     serve.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="micro-batcher coalescing window",
-    )
-    serve.add_argument(
         "--max-inflight",
         type=int,
         default=None,
@@ -323,9 +317,7 @@ def run_serve(args: argparse.Namespace) -> int:
     )
     batcher = None
     if not args.no_batcher:
-        batcher = MicroBatcher(
-            service, max_batch=args.max_batch, max_wait_ms=args.max_wait_ms
-        ).start()
+        batcher = MicroBatcher(service, max_batch=args.max_batch).start()
     deadline_s = (
         None if args.deadline_ms is None else args.deadline_ms / 1000.0
     )

@@ -2,15 +2,19 @@
 
 Under concurrent load, many independent ``top_k`` calls each pay a full
 row-partition; stacking them into a single
-:meth:`~repro.serving.service.LinkPredictionService.batch_top_k` call
-amortizes the numpy dispatch and partitions all rows in one vectorized
-pass.  :class:`MicroBatcher` implements the classic pattern: callers block
-on :meth:`submit`, a single worker thread drains the queue — waiting at
-most ``max_wait_ms`` after the first request to let a batch accumulate, up
-to ``max_batch`` — and distributes the batch's answers back to the
-waiters.  Batch sizes and coalescing counters are recorded on the
-service's tracer (``batcher.batches``, ``batcher.requests``, and the
-``batcher.batch_size`` metric stream).
+:meth:`~repro.serving.service.LinkPredictionService.batch_top_k_mixed`
+call amortizes the numpy dispatch and partitions all rows in one
+vectorized pass.  :class:`MicroBatcher` is *work-conserving*: callers
+block on :meth:`submit`, and a single worker thread blocks only for the
+first queued request, then takes whatever else is already queued (up to
+``max_batch``) without waiting for more, scores it in one pass and wakes
+the waiters.  An idle worker therefore answers a lone request at once,
+and batches form under load from the requests that queue up while a pass
+runs.  Each request is validated on its own, so one bad request fails
+only itself, never the batch it was queued with.  Batch sizes and
+coalescing counters are recorded on the service's tracer
+(``batcher.batches``, ``batcher.requests``, and the ``batcher.batch_size``
+metric stream).
 """
 
 from __future__ import annotations
@@ -20,7 +24,11 @@ import threading
 import time
 from typing import List, Optional
 
-from repro.exceptions import ConfigurationError, DeadlineExceededError
+from repro.exceptions import (
+    ConfigurationError,
+    DeadlineExceededError,
+    UnknownNodeError,
+)
 from repro.observability.logging import current_request_id, get_logger
 from repro.observability.metrics import BATCH_SIZE_BUCKETS
 from repro.observability.propagation import current_trace
@@ -60,12 +68,12 @@ class MicroBatcher:
     Parameters
     ----------
     service:
-        The service whose ``batch_top_k`` executes the coalesced work.
+        The service whose ``batch_top_k_mixed`` executes the coalesced
+        work and whose ``check_user`` validates each queued request.
     max_batch:
-        Largest number of requests merged into one scoring pass.
-    max_wait_ms:
-        How long the worker waits after the first queued request for more
-        to arrive; the latency cost of coalescing is bounded by this.
+        Largest number of requests merged into one scoring pass.  The
+        worker never waits for a batch to fill: a pass takes the requests
+        queued when it starts, at most this many.
 
     Examples
     --------
@@ -79,15 +87,9 @@ class MicroBatcher:
         self,
         service: LinkPredictionService,
         max_batch: int = 64,
-        max_wait_ms: float = 2.0,
     ):
         self.service = service
         self.max_batch = check_integer(max_batch, "max_batch", minimum=1)
-        if max_wait_ms < 0:
-            raise ConfigurationError(
-                f"max_wait_ms must be >= 0, got {max_wait_ms}"
-            )
-        self.max_wait = float(max_wait_ms) / 1000.0
         self._queue: "queue.Queue[_Pending]" = queue.Queue()
         self._worker: Optional[threading.Thread] = None
         self._stopping = threading.Event()
@@ -191,20 +193,20 @@ class MicroBatcher:
             self._execute(batch)
 
     def _collect(self) -> List[_Pending]:
-        """Block for the first request, then coalesce briefly arriving ones."""
+        """Block for the first request, then take what is already queued.
+
+        Never waits for more arrivals: waiting could only delay the
+        requests in hand, and whatever arrives during the pass forms the
+        next batch.
+        """
         try:
             first = self._queue.get(timeout=0.05)
         except queue.Empty:
             return []
         batch = [first]
-        deadline = time.monotonic() + self.max_wait
         while len(batch) < self.max_batch:
-            timeout = deadline - time.monotonic()
             try:
-                if timeout > 0:
-                    batch.append(self._queue.get(timeout=timeout))
-                else:
-                    batch.append(self._queue.get_nowait())
+                batch.append(self._queue.get_nowait())
             except queue.Empty:
                 break
         return batch
@@ -224,6 +226,20 @@ class MicroBatcher:
                 batch_size=len(batch),
                 request_ids=[p.request_id for p in batch if p.request_id],
             )
+        start = time.perf_counter()
+        # Validate each request on its own before the shared pass, which
+        # would otherwise reject the whole batch for one bad user or k.
+        valid = []
+        for pending in batch:
+            try:
+                check_integer(pending.k, "k", minimum=1)
+                self.service.check_user(pending.user)
+            except (ConfigurationError, UnknownNodeError) as exc:
+                self._fail(pending, exc, start, len(batch))
+            else:
+                valid.append(pending)
+        if not valid:
+            return
         # One true coalesced pass: mixed-k requests share a single
         # scoring pass at the batch's largest k — every request's answer
         # is a prefix of its top-max_k list (same descending order, same
@@ -232,23 +248,33 @@ class MicroBatcher:
         # by k here used to issue one scoring pass per distinct k, which
         # under mixed load made the batcher *slower* than sequential
         # queries.
-        start = time.perf_counter()
         try:
             rankings = self.service.batch_top_k_mixed(
-                [pending.user for pending in batch],
-                [pending.k for pending in batch],
+                [pending.user for pending in valid],
+                [pending.k for pending in valid],
             )
         except BaseException as exc:  # propagate to every waiter
-            message = f"{type(exc).__name__}: {exc}"
-            for pending in batch:
-                self._graft_span(pending, start, len(batch), error=message)
-                pending.error = exc
-                pending.event.set()
+            for pending in valid:
+                self._fail(pending, exc, start, len(batch))
             return
-        for pending, ranking in zip(batch, rankings):
+        for pending, ranking in zip(valid, rankings):
             self._graft_span(pending, start, len(batch))
             pending.result = ranking
             pending.event.set()
+
+    @classmethod
+    def _fail(
+        cls,
+        pending: _Pending,
+        exc: BaseException,
+        start: float,
+        batch_size: int,
+    ) -> None:
+        """Hand ``exc`` to one waiter, marking its trace as errored."""
+        message = f"{type(exc).__name__}: {exc}"
+        cls._graft_span(pending, start, batch_size, error=message)
+        pending.error = exc
+        pending.event.set()
 
     @staticmethod
     def _graft_span(

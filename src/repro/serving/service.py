@@ -386,7 +386,8 @@ class LinkPredictionService:
         )
 
     # -- queries --------------------------------------------------------
-    def _check_user(self, user: int) -> int:
+    def check_user(self, user: int) -> int:
+        """``user`` as an int; :class:`UnknownNodeError` when out of range."""
         user = int(user)
         if not 0 <= user < self.n_users:
             raise UnknownNodeError(
@@ -404,7 +405,7 @@ class LinkPredictionService:
         with self.tracer.span("serve.score"):
             self._c_requests.inc()
             self._c_score.inc()
-            u, v = self._check_user(u), self._check_user(v)
+            u, v = self.check_user(u), self.check_user(v)
             if self._degraded():
                 self._m_degraded_requests.inc()
                 return self._degraded_scorer.score(u, v)
@@ -416,7 +417,7 @@ class LinkPredictionService:
         ``False`` when the artifact was published without a graph.  Works
         for both dense and scipy-sparse published adjacencies.
         """
-        u, v = self._check_user(u), self._check_user(v)
+        u, v = self.check_user(u), self.check_user(v)
         adjacency = self._artifact.adjacency
         return bool(adjacency is not None and adjacency[u, v] > 0)
 
@@ -430,7 +431,7 @@ class LinkPredictionService:
         with self.tracer.span("serve.top_k"):
             self._c_requests.inc()
             self._c_topk.inc()
-            user = self._check_user(user)
+            user = self.check_user(user)
             k = check_integer(k, "k", minimum=1)
             if self._degraded():
                 # Degraded answers are not model answers: never read from
@@ -477,7 +478,7 @@ class LinkPredictionService:
                     f"{len(users)} users but {len(ks)} k values"
                 )
             ks = [check_integer(k, "k", minimum=1) for k in ks]
-            users = [self._check_user(u) for u in users]
+            users = [self.check_user(u) for u in users]
             self._c_requests.inc(len(users))
             self._c_topk.inc(len(users))
             if self._degraded():

@@ -261,7 +261,8 @@ class ShardedLinkPredictionService:
         )
 
     # -- scatter-gather core --------------------------------------------
-    def _check_user(self, user: int) -> int:
+    def check_user(self, user: int) -> int:
+        """``user`` as an int; :class:`UnknownNodeError` when out of range."""
         user = int(user)
         if not 0 <= user < self.n_users:
             raise UnknownNodeError(
@@ -393,7 +394,7 @@ class ShardedLinkPredictionService:
         with self.tracer.span("serve.score"):
             self._c_requests.inc()
             self._c_score.inc()
-            u, v = self._check_user(u), self._check_user(v)
+            u, v = self.check_user(u), self.check_user(v)
             if u == v:
                 return 0.0
             artifact = self._artifact
@@ -417,7 +418,7 @@ class ShardedLinkPredictionService:
 
     def is_known_link(self, u: int, v: int) -> bool:
         """Whether ``(u, v)`` is connected in the published global graph."""
-        u, v = self._check_user(u), self._check_user(v)
+        u, v = self.check_user(u), self.check_user(v)
         adjacency = self._artifact.adjacency
         return bool(adjacency is not None and adjacency[u, v] > 0)
 
@@ -434,7 +435,7 @@ class ShardedLinkPredictionService:
         with self.tracer.span("serve.top_k"):
             self._c_requests.inc()
             self._c_topk.inc()
-            user = self._check_user(user)
+            user = self.check_user(user)
             k = check_integer(k, "k", minimum=1)
             key = (self.version, user, k)
             cached = self.cache.get(key)
@@ -472,7 +473,7 @@ class ShardedLinkPredictionService:
                     f"{len(users)} users but {len(ks)} k values"
                 )
             ks = [check_integer(k, "k", minimum=1) for k in ks]
-            users = [self._check_user(u) for u in users]
+            users = [self.check_user(u) for u in users]
             self._c_requests.inc(len(users))
             self._c_topk.inc(len(users))
             version = self.version

@@ -278,7 +278,7 @@ class TestSheddingAndDeadline:
             "batch_top_k_mixed",
             lambda users, ks: time.sleep(0.5) or [[] for _ in users],
         )
-        with MicroBatcher(service, max_wait_ms=1.0) as batcher:
+        with MicroBatcher(service) as batcher:
             server = make_async_server(
                 service, port=0, batcher=batcher, request_deadline_s=0.05
             ).start()
@@ -296,7 +296,7 @@ class TestSheddingAndDeadline:
                 server.server_close()
 
     def test_batcher_routes_single_user_gets(self, service):
-        with MicroBatcher(service, max_wait_ms=1.0) as batcher:
+        with MicroBatcher(service) as batcher:
             server = make_async_server(
                 service, port=0, batcher=batcher
             ).start()
@@ -357,7 +357,7 @@ class TestGracefulDrain:
         sock.close()
 
     def test_shutdown_flushes_batcher(self, service):
-        batcher = MicroBatcher(service, max_wait_ms=1.0).start()
+        batcher = MicroBatcher(service).start()
         server = make_async_server(service, port=0, batcher=batcher).start()
         try:
             sock = _connect(server)

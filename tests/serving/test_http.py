@@ -136,7 +136,7 @@ class TestErrors:
 
 class TestBatchedServer:
     def test_get_routed_through_batcher(self, service):
-        with MicroBatcher(service, max_wait_ms=1.0) as batcher:
+        with MicroBatcher(service) as batcher:
             server = make_server(service, port=0, batcher=batcher)
             thread = threading.Thread(target=server.serve_forever, daemon=True)
             thread.start()

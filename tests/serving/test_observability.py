@@ -144,7 +144,7 @@ class TestRequestIds:
     def test_request_id_propagates_into_batcher(self, service):
         from repro.observability.logging import request_context
 
-        with MicroBatcher(service, max_wait_ms=1.0) as batcher:
+        with MicroBatcher(service) as batcher:
             with request_context("req-batch-7"):
                 batcher.submit(1, 3)
         # The batch executed on the worker thread, away from the request

@@ -183,7 +183,7 @@ class TestServiceSurface:
         service = ShardedLinkPredictionService(_publish(tmp_path))
         expected = service.top_k(3, k=4)
         service.cache.invalidate()
-        with MicroBatcher(service, max_batch=8, max_wait_ms=1.0) as batcher:
+        with MicroBatcher(service, max_batch=8) as batcher:
             assert batcher.submit(3, k=4) == expected
 
     def test_metrics_text_renders(self, tmp_path):
