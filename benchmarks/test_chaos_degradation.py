@@ -16,7 +16,6 @@ trajectory file carries the precise numbers.
 from __future__ import annotations
 
 import json
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -26,8 +25,8 @@ import pytest
 
 from repro.models.persistence import FrozenPredictor
 from repro.reliability.faults import GLOBAL_INJECTOR
+from repro.serving.aio import AsyncLinkPredictionServer
 from repro.serving.artifacts import ArtifactStore
-from repro.serving.http import make_server
 from repro.serving.service import LinkPredictionService
 
 from trajectory import outcome_summary, percentile_summary, record_snapshot
@@ -53,9 +52,9 @@ def endpoint(tmp_path_factory):
     store = ArtifactStore(str(tmp_path_factory.mktemp("chaos-store")))
     store.publish(FrozenPredictor((scores + scores.T) / 2.0, {"name": "chaos"}))
     service = LinkPredictionService(store, cache_size=N_REQUESTS * 2)
-    server = make_server(service, port=0, request_deadline_s=10.0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = AsyncLinkPredictionServer(
+        service, port=0, request_deadline_s=10.0
+    ).start()
     yield f"http://127.0.0.1:{server.server_address[1]}", service
     server.shutdown()
     server.server_close()

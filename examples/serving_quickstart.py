@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import json
 import tempfile
-import threading
 import urllib.request
 
 from repro import SlamPredT, TransferTask, generate_aligned_pair
 from repro.networks.social import SocialGraph
 from repro.serving import (
     ArtifactStore,
+    AsyncLinkPredictionServer,
     LinkPredictionService,
     MicroBatcher,
-    make_server,
 )
 
 SCALE = 40
@@ -65,9 +64,9 @@ def main() -> None:
     # 3. Serve it: service + micro-batcher + HTTP endpoint on a free port.
     service = LinkPredictionService(store, cache_size=256)
     with MicroBatcher(service, max_batch=32) as batcher:
-        server = make_server(service, port=0, batcher=batcher)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server = AsyncLinkPredictionServer(
+            service, port=0, batcher=batcher
+        ).start()
         base = f"http://127.0.0.1:{server.server_address[1]}"
         print(f"serving on {base}")
         try:

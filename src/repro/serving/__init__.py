@@ -13,17 +13,15 @@ needs, and nothing from the training stack:
   hit/miss/eviction counters;
 * :mod:`repro.serving.batcher` — :class:`MicroBatcher`, coalescing
   concurrent queries into single vectorized scoring passes;
-* :mod:`repro.serving.http` — the stdlib-only JSON endpoint
-  (``/healthz``, ``/readyz``, ``/v1/topk``, ``/v1/score``, ``/v1/stats``)
-  plus the Prometheus ``/metrics`` exposition, with optional load
-  shedding (``max_inflight``) and per-request deadlines; its
-  :class:`~repro.serving.http.EndpointRouter` is the shared,
-  transport-independent dispatch core;
-* :mod:`repro.serving.aio` — the asyncio front end (the ``serve``
-  default): keep-alive/pipelined HTTP parsing on one event loop,
-  scoring offloaded to a bounded worker pool, graceful SIGTERM drain;
-  the threaded server stays available behind ``serve --legacy`` as the
-  parity oracle.
+* :mod:`repro.serving.http` — :class:`EndpointRouter`, the
+  transport-independent JSON endpoints (``/healthz``, ``/readyz``,
+  ``/v1/topk``, ``/v1/score``, ``/v1/stats``) plus the Prometheus
+  ``/metrics`` exposition, per-request deadlines and the
+  exception→status ladder;
+* :mod:`repro.serving.aio` — :class:`AsyncLinkPredictionServer`, the
+  HTTP transport: keep-alive/pipelined parsing on one event loop,
+  load shedding (``max_inflight``), scoring offloaded to a bounded
+  worker pool, graceful SIGTERM drain.
 
 Resilience (DESIGN.md §11): artifact reads are retried under a
 :class:`~repro.reliability.RetryPolicy` and ``reload()`` sits behind a
@@ -46,7 +44,7 @@ with a request id propagated through every layer.  See DESIGN.md §8, §10
 and §11.
 """
 
-from repro.serving.aio import AsyncLinkPredictionServer, make_async_server
+from repro.serving.aio import AsyncLinkPredictionServer
 from repro.serving.artifacts import (
     MANIFEST_SCHEMA_VERSION,
     ArtifactStore,
@@ -55,12 +53,7 @@ from repro.serving.artifacts import (
 )
 from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import RankingCache
-from repro.serving.http import (
-    EndpointRouter,
-    LinkPredictionServer,
-    make_server,
-    serve,
-)
+from repro.serving.http import EndpointRouter
 from repro.serving.service import LinkPredictionService
 
 __all__ = [
@@ -72,9 +65,5 @@ __all__ = [
     "RankingCache",
     "MicroBatcher",
     "EndpointRouter",
-    "LinkPredictionServer",
     "AsyncLinkPredictionServer",
-    "make_server",
-    "make_async_server",
-    "serve",
 ]

@@ -7,8 +7,8 @@ Three subcommands cover the publish → inspect → serve lifecycle:
   write it into an :class:`~repro.serving.artifacts.ArtifactStore`.
 * ``inspect`` — print a version's manifest (name, hyper-parameters,
   per-file checksums) after re-verifying its integrity.
-* ``serve`` — start the JSON/HTTP endpoint on the store's latest version
-  (asyncio front end by default; ``--legacy`` keeps the threaded server).
+* ``serve`` — start the asyncio JSON/HTTP endpoint on the store's latest
+  version.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ from repro.observability.profiler import global_profiler
 from repro.observability.sampling import DEFAULT_SAMPLE_RATE, SamplingTracer
 from repro.observability.tracer import NullTracer
 from repro.reliability.faults import configure_from_env
-from repro.serving.aio import make_async_server
+from repro.serving.aio import AsyncLinkPredictionServer
 from repro.serving.artifacts import ArtifactStore
 from repro.serving.batcher import MicroBatcher
-from repro.serving.http import make_server
 from repro.serving.service import LinkPredictionService
 from repro.synth.generator import generate_aligned_pair
 
@@ -169,17 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-request deadline; overruns answer 503 (default: none)",
     )
     serve.add_argument(
-        "--legacy",
-        action="store_true",
-        help="serve through the thread-per-connection front end instead "
-        "of the asyncio one (the parity oracle)",
-    )
-    serve.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="asyncio front end: scoring worker threads "
-        "(default: min(32, cpus + 4); ignored with --legacy)",
+        help="scoring worker threads (default: min(32, cpus + 4))",
     )
     return parser
 
@@ -322,53 +314,39 @@ def run_serve(args: argparse.Namespace) -> int:
         None if args.deadline_ms is None else args.deadline_ms / 1000.0
     )
     try:
-        if args.legacy:
-            server = make_server(
-                service,
-                args.host,
-                args.port,
-                batcher,
-                max_inflight=args.max_inflight,
-                request_deadline_s=deadline_s,
-            )
-            host, port = server.server_address[:2]
-            _print_banner(service, host, port, frontend="legacy")
-            try:
-                server.serve_forever()
-            except KeyboardInterrupt:
-                pass
-            finally:
-                server.server_close()
-        else:
-            server = make_async_server(
-                service,
-                args.host,
-                args.port,
-                batcher,
-                max_inflight=args.max_inflight,
-                request_deadline_s=deadline_s,
-                max_workers=args.workers,
-            )
+        server = AsyncLinkPredictionServer(
+            service,
+            args.host,
+            args.port,
+            batcher,
+            max_inflight=args.max_inflight,
+            request_deadline_s=deadline_s,
+            max_workers=args.workers,
+        )
 
-            def _drain(signum, frame):
-                """Begin graceful drain; the wait loop below observes exit."""
-                server.shutdown(wait=False)
+        def _drain(signum, frame):
+            """Begin graceful drain; the wait loop below observes exit."""
+            server.shutdown(wait=False)
 
-            # SIGTERM (and Ctrl-C) trigger the drain protocol: stop
-            # accepting, finish in-flight within the deadline budget,
-            # flush the batcher, then exit — never an abrupt close.
-            signal.signal(signal.SIGTERM, _drain)
-            signal.signal(signal.SIGINT, _drain)
-            server.start()
-            host, port = server.server_address
-            _print_banner(service, host, port, frontend="asyncio")
-            try:
-                while server.running:
-                    time.sleep(0.2)
-            except KeyboardInterrupt:
-                server.shutdown(wait=True)
-            finally:
-                server.server_close()
+        # SIGTERM (and Ctrl-C) trigger the drain protocol: stop
+        # accepting, finish in-flight within the deadline budget,
+        # flush the batcher, then exit — never an abrupt close.
+        signal.signal(signal.SIGTERM, _drain)
+        signal.signal(signal.SIGINT, _drain)
+        server.start()
+        host, port = server.server_address
+        print(
+            f"serving {service.stats()['model']} v{service.version:04d} "
+            f"({service.n_users} users) on http://{host}:{port} "
+            f"[asyncio] (metrics: http://{host}:{port}/metrics)"
+        )
+        try:
+            while server.running:
+                time.sleep(0.2)
+        except KeyboardInterrupt:
+            server.shutdown(wait=True)
+        finally:
+            server.server_close()
     finally:
         if batcher is not None:
             batcher.stop()
@@ -377,15 +355,6 @@ def run_serve(args: argparse.Namespace) -> int:
         if aggregator is not None:
             aggregator.stop()
     return 0
-
-
-def _print_banner(service, host, port, frontend: str) -> None:
-    """The one startup line shared by both front ends."""
-    print(
-        f"serving {service.stats()['model']} v{service.version:04d} "
-        f"({service.n_users} users) on http://{host}:{port} "
-        f"[{frontend}] (metrics: http://{host}:{port}/metrics)"
-    )
 
 
 def main(argv=None) -> int:

@@ -1,17 +1,25 @@
 """Asyncio front end: event-loop parsing, worker-pool scoring.
 
-The threaded server in :mod:`repro.serving.http` spends a thread per
-connection; under thousands of keep-alive clients the scheduler and the
-per-request ``email.parser`` work dominate.  This module keeps the
-*protocol* on a single event loop — accept, HTTP/1.1 parse (keep-alive
-and pipelined requests included), framing, shedding — and offloads only
-the *scoring* to a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
-via ``loop.run_in_executor``.  Every serving contract is preserved by
-construction, not by re-implementation: the executor worker calls the
-same :class:`~repro.serving.http.EndpointRouter` the threaded server
-uses, so the eight endpoints, the exception→status ladder, the
-``X-Request-Id`` / ``X-Trace-Context`` propagation, per-request
-deadlines, the degraded tier and the metric families are shared code.
+The HTTP transport of the serving layer.  It keeps the *protocol* on a
+single event loop — accept, HTTP/1.1 parse (keep-alive and pipelined
+requests included), framing, shedding — and offloads only the *scoring*
+to a bounded :class:`~concurrent.futures.ThreadPoolExecutor` via
+``loop.run_in_executor``, so thousands of keep-alive clients cost no
+thread each.  The endpoint logic is not here: the executor worker calls
+:class:`~repro.serving.http.EndpointRouter`, which owns the eight
+endpoints, the exception→status ladder, per-request deadlines and the
+HTTP metric families.
+
+This module is also the **trace edge**.  Each request gets a request id
+(an incoming ``X-Request-Id`` header, or a fresh one) bound into the
+logging context, so records from every layer below carry it; the
+response echoes it as ``X-Request-Id``.  An incoming
+``X-Trace-Context`` header (or a freshly minted
+:class:`~repro.observability.propagation.TraceContext`) parents one
+request trace on the service's tracer — head-sampled under a
+:class:`~repro.observability.sampling.SamplingTracer`, with any 5xx
+promoting it to an always-captured error trace — and is echoed back as
+``X-Trace-Context``.
 
 Division of labour per request:
 
@@ -40,7 +48,7 @@ close idle keep-alive connections, flush the
 Streaming publishes are not interrupted — see
 :meth:`repro.streaming.pipeline.StreamingPipeline.close`.
 
-Only the standard library is used, matching the threaded front end.
+Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -63,15 +71,11 @@ from repro.observability.logging import (
 )
 from repro.observability.propagation import TraceContext
 from repro.serving.batcher import MicroBatcher
-from repro.serving.http import (
-    _PROMETHEUS_CONTENT_TYPE,
-    ROUTE_LABELS,
-    EndpointRouter,
-)
+from repro.serving.http import ROUTE_LABELS, EndpointRouter
 from repro.serving.service import LinkPredictionService
 
-# Access records must land on the same logger name as the threaded front
-# end: downstream log routing (and the observability tests) key on it.
+# Access records land on the HTTP layer's logger name: downstream log
+# routing (and the observability tests) key on it.
 _access_log = get_logger("repro.serving.http")
 _log = get_logger("repro.serving.aio")
 
@@ -83,6 +87,8 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 
 _LAG_INTERVAL_S = 0.25
 """How often the watchdog coroutine samples event-loop lag."""
+
+_PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 class _MalformedRequest(Exception):
@@ -129,13 +135,13 @@ def default_workers() -> int:
 class AsyncLinkPredictionServer:
     """Asyncio HTTP server bound to one service (and optional batcher).
 
-    Mirrors :class:`~repro.serving.http.LinkPredictionServer`'s
-    constructor contract (same validation, same defaults) and its
-    lifecycle surface — :meth:`serve_forever` blocks in the calling
-    thread, :meth:`start` runs it on a daemon thread and returns once
-    the socket is bound, :meth:`shutdown` drains gracefully and
-    :meth:`server_close` reaps the thread and the executor — so tests
-    and the CLI can swap the two front ends freely.
+    ``port=0`` picks a free port.  ``max_inflight`` bounds admitted
+    requests (excess is shed with 503) and ``request_deadline_s`` bounds
+    each request's wall-clock (overrun answers 503); both default to off.
+    Lifecycle: :meth:`serve_forever` blocks in the calling thread,
+    :meth:`start` runs it on a daemon thread and returns once the socket
+    is bound, :meth:`shutdown` drains gracefully and :meth:`server_close`
+    reaps the thread and the executor.
     """
 
     def __init__(
@@ -470,9 +476,8 @@ class AsyncLinkPredictionServer:
         self.router.observe(
             "other", "INVALID", 400, time.perf_counter() - started
         )
-        # Log before the body hits the socket (matching the legacy
-        # handler): a client that reads the response must already be
-        # able to find the access record.
+        # Log before the body hits the socket: a client that reads the
+        # response must already be able to find the access record.
         self._log_access("INVALID", "-", 400, started, client, request_id)
         writer.write(_format_response(400, payload, request_id, None, keep))
         await writer.drain()
@@ -546,9 +551,8 @@ class AsyncLinkPredictionServer:
             finally:
                 self._inflight -= 1
                 self._queue_depth.set(float(self._inflight))
-        # Log before the body hits the socket (matching the legacy
-        # handler, which logs from send_response): once the client has
-        # read the response, the access record must already exist.
+        # Log before the body hits the socket: once the client has read
+        # the response, the access record must already exist.
         self._log_access(
             request.method, url.path, status, started, client, request_id
         )
@@ -577,8 +581,8 @@ class AsyncLinkPredictionServer:
         itself; the queue wait becomes a ``serving.executor_hop`` span
         so a sampled trace shows exactly where admission-to-start time
         went.  The latency sample is observed here, before the event
-        loop writes the response — same ordering contract as the
-        threaded front end.
+        loop writes the response, so a client that reads the response
+        and immediately scrapes ``/metrics`` finds it.
         """
         queue_wait = time.perf_counter() - submitted
         self._executor_wait.observe(queue_wait)
@@ -620,7 +624,7 @@ class AsyncLinkPredictionServer:
         client: Optional[str],
         request_id: str,
     ) -> None:
-        """Structured DEBUG access record, same shape as the threaded server."""
+        """One structured DEBUG access record per answered request."""
         if not _access_log.isEnabledFor(logging.DEBUG):
             return
         _access_log.debug(
@@ -664,27 +668,3 @@ def _format_response(
     head.append(f"Connection: {'keep-alive' if keep else 'close'}")
     return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + blob
 
-
-def make_async_server(
-    service: LinkPredictionService,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    batcher: Optional[MicroBatcher] = None,
-    max_inflight: Optional[int] = None,
-    request_deadline_s: Optional[float] = None,
-    max_workers: Optional[int] = None,
-) -> AsyncLinkPredictionServer:
-    """Build (but do not start) an asyncio server; ``port=0`` picks a port.
-
-    Mirrors :func:`repro.serving.http.make_server` so call sites can
-    switch front ends by swapping one constructor.
-    """
-    return AsyncLinkPredictionServer(
-        service,
-        host=host,
-        port=port,
-        batcher=batcher,
-        max_inflight=max_inflight,
-        request_deadline_s=request_deadline_s,
-        max_workers=max_workers,
-    )

@@ -1,6 +1,9 @@
-"""Stdlib-only JSON/HTTP front-end for the link-prediction service.
+"""Transport-independent endpoint logic for the link-prediction service.
 
-A thin :class:`ThreadingHTTPServer` exposing eight endpoints:
+:class:`EndpointRouter` answers eight endpoints from already-parsed
+request pieces — the socket, HTTP framing and the trace edge live in
+the asyncio front end (:mod:`repro.serving.aio`), which calls
+:meth:`EndpointRouter.dispatch` from its executor workers:
 
 ========================  =====================================================
 ``GET /healthz``          liveness + served artifact version
@@ -13,46 +16,28 @@ A thin :class:`ThreadingHTTPServer` exposing eight endpoints:
 ``GET /debug/profile``    the continuous profiler's attributed sample table
 ========================  =====================================================
 
-Every request is traced end to end: the handler binds a **request id**
-(honouring an incoming ``X-Request-Id`` header, generating one otherwise)
-into the logging context, so records emitted anywhere down the stack —
-service, cache, micro-batcher, per-shard workers — carry the same id, the
-response echoes it back as ``X-Request-Id``, and top-k/score payloads
-carry it in-band.  The handler is also the **trace edge**: it parses an
-incoming ``X-Trace-Context`` header (or mints a fresh
-:class:`~repro.observability.propagation.TraceContext`), opens one
-request trace on the service's tracer — head-sampled when that tracer is
-a :class:`~repro.observability.sampling.SamplingTracer`, with any 5xx
-promoting the trace to always-captured error status — and echoes the
-context back as ``X-Trace-Context``.  Per-route latency lands in the
-``serving.http.request_seconds{route,method,status}`` histogram, errors in
-``serving.http.errors{route}``, and each request is additionally traced on
-the service's :class:`~repro.observability.Tracer` (an ``http.<route>``
-span plus ``http.requests`` / ``http.errors`` counters).  When the server
-was built with a running :class:`~repro.serving.batcher.MicroBatcher`,
-single-user ``GET /v1/topk`` queries are routed through it so concurrent
-HTTP threads coalesce into shared vectorized scoring passes.
+Per-route latency lands in the
+``serving.http.request_seconds{route,method,status}`` histogram, 400s in
+``serving.http.errors{route}`` and 5xx answers in
+``serving.http.server_errors{route}``; each request is also traced on the
+service's :class:`~repro.observability.Tracer` (an ``http.<route>`` span
+plus ``http.requests`` / ``http.errors`` counters).  When a running
+:class:`~repro.serving.batcher.MicroBatcher` is attached, single-user
+``GET /v1/topk`` queries are routed through it so concurrent requests
+share vectorized scoring passes.
 
 Degradation is explicit, never accidental (DESIGN.md §11):
 
 * every 4xx/5xx body is a JSON object ``{"error", "status", "request_id"}``
   — clients never have to parse an HTML traceback;
-* an optional in-flight bound (``max_inflight``) sheds excess load with a
-  clean 503 (``reliability.shed_requests``) instead of queueing without
-  bound;
+* :meth:`EndpointRouter.shed` builds the 503 for requests the transport
+  refuses under its ``max_inflight`` bound (``reliability.shed_requests``);
 * an optional per-request deadline (``request_deadline_s``) propagates as
   the batcher's wait budget and maps
   :class:`~repro.exceptions.DeadlineExceededError` to 503;
 * any unexpected exception — including faults armed at the
   ``serving.request`` chaos site — is answered as a JSON 500, so a bug in
   one handler can never leak a raw stack trace or tear the worker down.
-
-The endpoint logic itself lives in :class:`EndpointRouter`, a
-transport-independent dispatcher shared verbatim with the asyncio front
-end (:mod:`repro.serving.aio`): both servers parse bytes their own way,
-then hand ``(method, path, query, body, request_id, deadline)`` to the
-same router so route tables, exception→status mapping and metric series
-cannot drift between the two.
 
 Only the standard library is used — a serving container needs numpy and
 nothing else.
@@ -61,25 +46,16 @@ nothing else.
 from __future__ import annotations
 
 import json
-import logging
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple, Union
-from urllib.parse import parse_qs, urlparse
 
 from repro.exceptions import (
     CircuitOpenError,
     DeadlineExceededError,
     ReproError,
 )
-from repro.observability.logging import (
-    get_logger,
-    new_request_id,
-    request_context,
-)
+from repro.observability.logging import get_logger
 from repro.observability.profiler import global_profiler
-from repro.observability.propagation import TraceContext
 from repro.reliability.faults import InjectedFaultError, fault_point
 from repro.serving.batcher import MicroBatcher
 from repro.serving.service import LinkPredictionService
@@ -98,23 +74,19 @@ ROUTE_LABELS = {
 """Fixed route-label vocabulary — unknown paths collapse to ``other`` so a
 scanner cannot explode the metric cardinality."""
 
-_PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
 SHED_MESSAGE = (
     "overloaded: too many requests in flight; retry with backoff"
 )
-"""The uniform 503 body text for load-shed answers on every front end."""
+"""The uniform 503 body text for load-shed answers."""
 
 
 class EndpointRouter:
     """Transport-independent endpoint dispatch for one service.
 
     Owns the route tables, the exception→status ladder, the per-request
-    deadline budget and every HTTP-level metric series.  The threaded
-    server's handler and the asyncio server's executor workers both call
-    :meth:`dispatch` with already-parsed request pieces, so the two front
-    ends answer byte-identical JSON for the same request and account it
-    into the same metric families.
+    deadline budget and every HTTP-level metric series.  The transport
+    calls :meth:`dispatch` with already-parsed request pieces, so the
+    whole endpoint contract can be exercised without a socket.
     """
 
     def __init__(
@@ -357,10 +329,12 @@ class EndpointRouter:
     ) -> Tuple[int, Dict]:
         """Single- or multi-user top-k from a JSON body."""
         parsed = _read_json(body)
-        k = int(parsed.get("k", 10))
+        k = _to_int(parsed.get("k", 10), "'k'")
         service = self.service
         if "users" in parsed:
-            users = [int(u) for u in parsed["users"]]
+            if not isinstance(parsed["users"], list):
+                raise ValueError("'users' must be a JSON list of user ids")
+            users = [_to_int(u, "each of 'users'") for u in parsed["users"]]
             rankings = service.batch_top_k(users, k)
             return 200, {
                 "k": k,
@@ -373,7 +347,7 @@ class EndpointRouter:
             }
         if "user" not in parsed:
             raise ValueError("POST /v1/topk requires 'user' or 'users'")
-        user = int(parsed["user"])
+        user = _to_int(parsed["user"], "'user'")
         ranking = service.top_k(user, k)
         payload = _topk_payload(service, user, k, ranking)
         payload["request_id"] = request_id
@@ -391,239 +365,6 @@ class EndpointRouter:
             "known_link": service.is_known_link(u, v),
             "version": service.version,
         }
-
-
-class LinkPredictionServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one service (and optional batcher)."""
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address: Tuple[str, int],
-        service: LinkPredictionService,
-        batcher: Optional[MicroBatcher] = None,
-        max_inflight: Optional[int] = None,
-        request_deadline_s: Optional[float] = None,
-    ):
-        super().__init__(address, _Handler)
-        self.service = service
-        self.batcher = batcher
-        if max_inflight is not None and int(max_inflight) < 1:
-            raise ValueError(
-                f"max_inflight must be >= 1, got {max_inflight}"
-            )
-        self.max_inflight = None if max_inflight is None else int(max_inflight)
-        self.router = EndpointRouter(
-            service, batcher, request_deadline_s=request_deadline_s
-        )
-        self.request_deadline_s = self.router.request_deadline_s
-        self._inflight = 0
-        self._inflight_lock = threading.Lock()
-        # Metric handles stay addressable on the server for callers that
-        # predate the router split.
-        self.request_latency = self.router.request_latency
-        self.request_errors = self.router.request_errors
-        self.not_found = self.router.not_found
-        self.shed_requests = self.router.shed_requests
-        self.server_errors = self.router.server_errors
-
-    # -- load-shedding accounting ---------------------------------------
-    def inflight_acquire(self) -> bool:
-        """Count one request in; ``False`` means it must be shed."""
-        with self._inflight_lock:
-            if (
-                self.max_inflight is not None
-                and self._inflight >= self.max_inflight
-            ):
-                return False
-            self._inflight += 1
-            return True
-
-    def inflight_release(self) -> None:
-        """Count one admitted request out."""
-        with self._inflight_lock:
-            self._inflight -= 1
-
-
-def make_server(
-    service: LinkPredictionService,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    batcher: Optional[MicroBatcher] = None,
-    max_inflight: Optional[int] = None,
-    request_deadline_s: Optional[float] = None,
-) -> LinkPredictionServer:
-    """Build (but do not start) a server; ``port=0`` picks a free port.
-
-    ``max_inflight`` bounds concurrently-admitted requests (excess is shed
-    with 503); ``request_deadline_s`` bounds each request's wall-clock
-    (overrun answers 503).  Both default to off, preserving the previous
-    behaviour.
-    """
-    return LinkPredictionServer(
-        (host, port),
-        service,
-        batcher,
-        max_inflight=max_inflight,
-        request_deadline_s=request_deadline_s,
-    )
-
-
-def serve(
-    service: LinkPredictionService,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    batcher: Optional[MicroBatcher] = None,
-    max_inflight: Optional[int] = None,
-    request_deadline_s: Optional[float] = None,
-) -> None:
-    """Serve forever (blocking); Ctrl-C shuts down cleanly."""
-    server = make_server(
-        service,
-        host,
-        port,
-        batcher,
-        max_inflight=max_inflight,
-        request_deadline_s=request_deadline_s,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Socket/bytes plumbing around the shared :class:`EndpointRouter`."""
-
-    server: LinkPredictionServer
-
-    _request_id: Optional[str] = None
-    _started: Optional[float] = None
-    _last_status: Optional[int] = None
-    _trace_context: Optional[TraceContext] = None
-
-    # -- routing --------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 (stdlib handler naming)
-        """Answer one GET through the shared router."""
-        self._dispatch(b"")
-
-    def do_POST(self) -> None:  # noqa: N802 (stdlib handler naming)
-        """Read the framed body, then answer through the shared router."""
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
-        self._dispatch(body)
-
-    def _dispatch(self, body: bytes) -> None:
-        router = self.server.router
-        tracer = self.server.service.tracer
-        url = urlparse(self.path)
-        query = parse_qs(url.query)
-        incoming = self.headers.get("X-Request-Id")
-        self._request_id = (incoming or new_request_id())[:64]
-        self._started = time.perf_counter()
-        deadline_s = self.server.request_deadline_s
-        deadline = (
-            None if deadline_s is None else self._started + deadline_s
-        )
-        self._last_status = None
-        self._trace_context = None
-        route = ROUTE_LABELS.get(url.path, "other")
-        parent = TraceContext.from_header(
-            self.headers.get("X-Trace-Context")
-        )
-        admitted = self.server.inflight_acquire()
-        try:
-            with request_context(self._request_id):
-                if not admitted:
-                    status, payload = router.shed(self._request_id)
-                    self._observe_latency(route, status)
-                    self._send(status, payload)
-                else:
-                    with tracer.trace(
-                        route, parent=parent, request_id=self._request_id
-                    ) as req_trace:
-                        status, payload = router.dispatch(
-                            self.command,
-                            url.path,
-                            query,
-                            body,
-                            self._request_id,
-                            deadline,
-                        )
-                        if status >= 500:
-                            # dispatch answers every exception as JSON, so
-                            # the watch spans never see one raise; promote
-                            # the trace from the status code instead —
-                            # this is what makes "errors always captured"
-                            # hold at any sampling rate.
-                            req_trace.mark_error(
-                                payload.get("error", f"http {status}")
-                                if isinstance(payload, dict)
-                                else f"http {status}"
-                            )
-                        self._trace_context = req_trace.context
-                        # Observe before the body hits the socket: a client
-                        # that reads a response and immediately scrapes
-                        # /metrics must see this request's sample (the send
-                        # itself is microseconds of buffered writes and
-                        # would race the next scrape).
-                        self._observe_latency(route, status)
-                    # The trace commits when the block above exits — also
-                    # before the send, so a client that reads the response
-                    # and immediately queries the trace buffer finds it.
-                    self._send(status, payload)
-        finally:
-            if admitted:
-                self.server.inflight_release()
-
-    def _observe_latency(self, route: str, status: int) -> None:
-        """Record this request into the labeled latency histogram."""
-        self.server.router.observe(
-            route, self.command, status, time.perf_counter() - self._started
-        )
-
-    # -- plumbing -------------------------------------------------------
-    def _send(self, status: int, payload: Union[Dict, str]) -> None:
-        if isinstance(payload, str):
-            blob = payload.encode("utf-8")
-            content_type = _PROMETHEUS_CONTENT_TYPE
-        else:
-            blob = json.dumps(payload).encode("utf-8")
-            content_type = "application/json"
-        self._last_status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(blob)))
-        if self._request_id is not None:
-            self.send_header("X-Request-Id", self._request_id)
-        if self._trace_context is not None:
-            self.send_header(
-                "X-Trace-Context", self._trace_context.to_header()
-            )
-        self.end_headers()
-        self.wfile.write(blob)
-
-    def log_message(self, format: str, *args) -> None:
-        """Per-request logs as structured DEBUG records (never stderr)."""
-        if not _log.isEnabledFor(logging.DEBUG):
-            return
-        duration_ms = (
-            (time.perf_counter() - self._started) * 1e3
-            if self._started is not None
-            else None
-        )
-        _log.debug(
-            format % args,
-            method=getattr(self, "command", None),
-            path=getattr(self, "path", None),
-            status=self._last_status,
-            duration_ms=duration_ms,
-            client=self.client_address[0] if self.client_address else None,
-            request_id=self._request_id,
-        )
 
 
 def _read_json(raw: bytes) -> Dict:
@@ -662,3 +403,16 @@ def _int_param(query: Dict, name: str, default: Optional[int] = None) -> int:
         raise ValueError(
             f"query parameter {name!r} must be an integer, got {values[0]!r}"
         ) from None
+
+
+def _to_int(value, what: str) -> int:
+    """``int(value)``; a value that does not convert is the caller's error.
+
+    JSON bodies can carry ``null``, lists, objects or ``Infinity`` where a
+    user id or ``k`` belongs — ``int()`` raises ``TypeError`` or
+    ``OverflowError`` for those, which must answer 400, not 500.
+    """
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None

@@ -27,7 +27,7 @@ from repro.optim.losses import SquaredFrobeniusLoss
 from repro.optim.proximal import BoxProjection, L1Prox, TraceNormProx
 from repro.reliability.checkpoints import CheckpointManager
 from repro.reliability.faults import GLOBAL_INJECTOR
-from repro.serving.http import make_server
+from repro.serving.aio import AsyncLinkPredictionServer
 from repro.serving.service import LinkPredictionService
 
 
@@ -132,11 +132,9 @@ class TestKilledFitResumes:
 def chaos_endpoint(store):
     """A live server with faults armed at every serving-side site."""
     service = LinkPredictionService(store, cache_size=4)
-    server = make_server(
+    server = AsyncLinkPredictionServer(
         service, port=0, max_inflight=32, request_deadline_s=5.0
-    )
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    ).start()
     GLOBAL_INJECTOR._seed = 1234
     GLOBAL_INJECTOR.arm("serving.request", probability=0.15)
     GLOBAL_INJECTOR.arm("serving.reload", probability=0.5)
@@ -203,20 +201,39 @@ class TestServingUnderChaos:
 
 
 class TestLoadShedding:
-    def test_excess_inflight_sheds_with_503(self, store):
+    def test_excess_inflight_sheds_with_503(self, store, monkeypatch):
         service = LinkPredictionService(store)
-        server = make_server(service, port=0, max_inflight=1)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        # A gated top_k holds the single in-flight slot until released.
+        release = threading.Event()
+        entered = threading.Event()
+        original = service.top_k
+
+        def gated_top_k(user, k):
+            entered.set()
+            release.wait(5.0)
+            return original(user, k)
+
+        monkeypatch.setattr(service, "top_k", gated_top_k)
+        server = AsyncLinkPredictionServer(
+            service, port=0, max_inflight=1
+        ).start()
         base = f"http://127.0.0.1:{server.server_address[1]}"
+        held = []
+        holder = threading.Thread(
+            target=lambda: held.append(_get(f"{base}/v1/topk?user=0&k=3")),
+            daemon=True,
+        )
         try:
-            # Saturate the single slot directly, then issue a real request.
-            assert server.inflight_acquire()
+            holder.start()
+            assert entered.wait(5.0)
             status, payload = _get(f"{base}/v1/topk?user=1&k=3")
             assert status == 503
             assert "overloaded" in payload["error"]
             assert payload["request_id"]
-            server.inflight_release()
+            release.set()
+            holder.join(5.0)
+            assert not holder.is_alive()
+            assert held[0][0] == 200
             status, _ = _get(f"{base}/v1/topk?user=1&k=3")
             assert status == 200
             assert (
@@ -224,6 +241,7 @@ class TestLoadShedding:
                 in service.registry.render()
             )
         finally:
+            release.set()
             server.shutdown()
             server.server_close()
 

@@ -7,15 +7,12 @@ training stack — exactly the deployment boundary the subsystem promises.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 
 from repro.models.persistence import FrozenPredictor
-from repro.serving.aio import make_async_server
+from repro.serving.aio import AsyncLinkPredictionServer
 from repro.serving.artifacts import ArtifactStore
-from repro.serving.http import make_server
 from repro.serving.service import LinkPredictionService
 
 N_USERS = 24
@@ -55,24 +52,14 @@ def service(store):
     return LinkPredictionService(store, cache_size=16)
 
 
-@pytest.fixture(params=["legacy", "aio"])
-def endpoint(request, service):
-    """A live server on a free port; yields its base URL.
+@pytest.fixture(params=["aio"])
+def endpoint(service):
+    """A live asyncio server on a free port; yields its base URL.
 
-    Parametrized over both front ends — the threaded parity oracle and
-    the asyncio default — so every endpoint/propagation/degradation test
-    written against this fixture pins the two servers to identical
-    behaviour for free.
+    Test ids carry the front end's name (``[aio]``) so results stay
+    comparable with earlier runs of the same endpoint tests.
     """
-    if request.param == "legacy":
-        server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        yield f"http://127.0.0.1:{server.server_address[1]}"
-        server.shutdown()
-        server.server_close()
-    else:
-        server = make_async_server(service, port=0).start()
-        yield f"http://127.0.0.1:{server.server_address[1]}"
-        server.shutdown()
-        server.server_close()
+    server = AsyncLinkPredictionServer(service, port=0).start()
+    yield f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()

@@ -1,11 +1,10 @@
 """Asyncio front end: keep-alive framing, pipelining, shed/deadline, drain.
 
-The shared endpoint contract is already pinned by the parametrized
-``endpoint`` fixture (every test in ``test_http.py`` /
-``test_observability.py`` runs against both front ends); this module
-covers what only the asyncio server does — raw-socket HTTP/1.1
-semantics the high-level ``urllib`` client cannot express, and the
-graceful-drain lifecycle.
+The endpoint contract is pinned by ``test_router.py`` (no socket) and by
+the ``endpoint`` fixture's tests in ``test_http.py`` /
+``test_observability.py``; this module covers the transport itself —
+raw-socket HTTP/1.1 semantics the high-level ``urllib`` client cannot
+express, and the graceful-drain lifecycle.
 """
 
 from __future__ import annotations
@@ -17,14 +16,14 @@ import time
 
 import pytest
 
-from repro.serving.aio import make_async_server
+from repro.serving.aio import AsyncLinkPredictionServer
 from repro.serving.batcher import MicroBatcher
 
 
 @pytest.fixture()
 def aio_server(service):
     """A started asyncio server; yields the server object."""
-    server = make_async_server(service, port=0).start()
+    server = AsyncLinkPredictionServer(service, port=0).start()
     yield server
     server.shutdown()
     server.server_close()
@@ -238,7 +237,9 @@ class TestSheddingAndDeadline:
             return original(user, k)
 
         monkeypatch.setattr(service, "top_k", slow_top_k)
-        server = make_async_server(service, port=0, max_inflight=1).start()
+        server = AsyncLinkPredictionServer(
+            service, port=0, max_inflight=1
+        ).start()
         try:
             slow = _connect(server)
             slow.sendall(
@@ -272,14 +273,14 @@ class TestSheddingAndDeadline:
     def test_deadline_overrun_answers_503(self, service, monkeypatch):
         # The remaining budget becomes the batcher wait bound; a scoring
         # pass slower than the deadline times the waiter out into a 503
-        # with the deadline message — same contract as the legacy server.
+        # with the deadline message.
         monkeypatch.setattr(
             service,
             "batch_top_k_mixed",
             lambda users, ks: time.sleep(0.5) or [[] for _ in users],
         )
         with MicroBatcher(service) as batcher:
-            server = make_async_server(
+            server = AsyncLinkPredictionServer(
                 service, port=0, batcher=batcher, request_deadline_s=0.05
             ).start()
             try:
@@ -297,7 +298,7 @@ class TestSheddingAndDeadline:
 
     def test_batcher_routes_single_user_gets(self, service):
         with MicroBatcher(service) as batcher:
-            server = make_async_server(
+            server = AsyncLinkPredictionServer(
                 service, port=0, batcher=batcher
             ).start()
             try:
@@ -328,7 +329,7 @@ class TestGracefulDrain:
             return original(user, k)
 
         monkeypatch.setattr(service, "top_k", slow_top_k)
-        server = make_async_server(service, port=0).start()
+        server = AsyncLinkPredictionServer(service, port=0).start()
         sock = _connect(server)
         sock.sendall(
             b"GET /v1/topk?user=0&k=3 HTTP/1.1\r\nHost: x\r\n\r\n"
@@ -358,7 +359,9 @@ class TestGracefulDrain:
 
     def test_shutdown_flushes_batcher(self, service):
         batcher = MicroBatcher(service).start()
-        server = make_async_server(service, port=0, batcher=batcher).start()
+        server = AsyncLinkPredictionServer(
+            service, port=0, batcher=batcher
+        ).start()
         try:
             sock = _connect(server)
             sock.sendall(
@@ -374,7 +377,7 @@ class TestGracefulDrain:
             batcher.stop()
 
     def test_shutdown_is_idempotent(self, service):
-        server = make_async_server(service, port=0).start()
+        server = AsyncLinkPredictionServer(service, port=0).start()
         server.shutdown(wait=True)
         server.shutdown(wait=True)  # second call is a no-op
         server.server_close()
@@ -399,7 +402,7 @@ class TestObservabilityExtras:
         service.tracer = SamplingTracer(
             service.registry, default_rate=1.0, cells=service.cells
         )
-        server = make_async_server(service, port=0).start()
+        server = AsyncLinkPredictionServer(service, port=0).start()
         try:
             sock = _connect(server)
             sock.sendall(

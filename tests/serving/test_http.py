@@ -1,19 +1,14 @@
 """Tests for the HTTP endpoint: routes, shapes, errors, batched GETs."""
 
 import json
-import threading
 import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.serving.aio import AsyncLinkPredictionServer
 from repro.serving.batcher import MicroBatcher
-from repro.serving.http import make_server
-
-# The `endpoint` fixture (tests/serving/conftest.py) is parametrized over
-# the legacy threaded server and the asyncio front end, so every test in
-# this module runs against both.
 
 
 def _get(url):
@@ -137,9 +132,9 @@ class TestErrors:
 class TestBatchedServer:
     def test_get_routed_through_batcher(self, service):
         with MicroBatcher(service) as batcher:
-            server = make_server(service, port=0, batcher=batcher)
-            thread = threading.Thread(target=server.serve_forever, daemon=True)
-            thread.start()
+            server = AsyncLinkPredictionServer(
+                service, port=0, batcher=batcher
+            ).start()
             try:
                 base = f"http://127.0.0.1:{server.server_address[1]}"
                 payload = _get(f"{base}/v1/topk?user=4&k=3")
@@ -194,9 +189,7 @@ class TestReadiness:
         assert payload["reload_breaker"] == "closed"
 
     def test_readyz_503_when_breaker_open(self, service):
-        server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server = AsyncLinkPredictionServer(service, port=0).start()
         try:
             base = f"http://127.0.0.1:{server.server_address[1]}"
             for _ in range(10):  # force the reload breaker open
@@ -238,9 +231,7 @@ class TestTraceEdge:
         service.tracer = SamplingTracer(
             service.registry, default_rate=0.0, cells=service.cells
         )
-        server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server = AsyncLinkPredictionServer(service, port=0).start()
         try:
             base = f"http://127.0.0.1:{server.server_address[1]}"
             request = urllib.request.Request(
@@ -269,9 +260,7 @@ class TestTraceEdge:
             "top_k",
             lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
         )
-        server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server = AsyncLinkPredictionServer(service, port=0).start()
         try:
             base = f"http://127.0.0.1:{server.server_address[1]}"
             code, _ = _error(f"{base}/v1/topk?user=0&k=3")

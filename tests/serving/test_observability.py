@@ -18,8 +18,7 @@ from repro.observability.tracer import NullTracer
 from repro.serving.batcher import MicroBatcher
 from repro.serving.service import LinkPredictionService
 
-# The `endpoint` fixture comes from tests/serving/conftest.py and is
-# parametrized over the legacy and asyncio front ends.
+# The `endpoint` fixture comes from tests/serving/conftest.py.
 
 
 def _get_raw(url, headers=None):

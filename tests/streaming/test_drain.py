@@ -1,6 +1,6 @@
 """Graceful drain: closing mid-``tick`` never tears a publish.
 
-The serving front ends drain on SIGTERM; the streaming side's
+The asyncio server drains on SIGTERM; the streaming side's
 counterpart is :meth:`StreamingPipeline.close`, which (by default) takes
 the tick lock before releasing the WAL — so an in-flight
 apply→snapshot→refit→publish either completes its atomic

@@ -5,7 +5,7 @@ End-to-end over a throwaway artifact store with the ``REPRO_CHAOS``
 fault-injection flag armed:
 
 1. publish a tiny synthetic predictor and boot a real
-   :class:`~repro.serving.http.LinkPredictionServer` on a free port;
+   :class:`~repro.serving.aio.AsyncLinkPredictionServer` on a free port;
 2. hammer ``/v1/topk`` and fail unless **every** response — success or
    injected failure — is valid JSON with the status/request-id error
    contract (an unhandled traceback or non-JSON 500 fails the run);
@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import sys
 import tempfile
-import threading
 import urllib.error
 import urllib.request
 
@@ -42,8 +41,8 @@ from repro.models.persistence import FrozenPredictor
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.sampling import SamplingTracer
 from repro.reliability.faults import GLOBAL_INJECTOR, configure_from_env
+from repro.serving.aio import AsyncLinkPredictionServer
 from repro.serving.artifacts import ArtifactStore
-from repro.serving.http import make_server
 from repro.serving.service import LinkPredictionService
 
 N_USERS = 32
@@ -100,9 +99,9 @@ def main() -> int:
         service = LinkPredictionService(
             store, tracer=tracer, registry=registry
         )
-        server = make_server(service, port=0, request_deadline_s=10.0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server = AsyncLinkPredictionServer(
+            service, port=0, request_deadline_s=10.0
+        ).start()
         base = f"http://127.0.0.1:{server.server_address[1]}"
         try:
             statuses = []
@@ -122,7 +121,9 @@ def main() -> int:
 
             # Sampling is 0: every committed trace must be an errored
             # one, and every 5xx answered above must have committed one
-            # — the always-capture-on-error promise under live faults.
+            # — the always-capture-on-error promise under live faults,
+            # even though each request crossed the event-loop → executor
+            # hop.
             server_errors = sum(1 for s in statuses if s >= 500)
             committed = tracer.finished()
             not_errored = [t for t in committed if not t.error]
@@ -185,76 +186,8 @@ def main() -> int:
     if missing:
         raise SystemExit(f"missing reliability series on /metrics: {missing}")
     print("chaos smoke: ok — degradation clean, reliability series exposed")
-    _aio_leg()
     _streaming_leg()
     return 0
-
-
-def _aio_leg() -> None:
-    """The same fault-injection contract against the asyncio front end.
-
-    Identical promises, different transport: every response under armed
-    faults is valid JSON honouring the error contract, and — with head
-    sampling at rate 0 — every injected 5xx commits exactly one errored
-    trace with spans, even though the request crossed the event-loop →
-    executor hop.
-    """
-    from repro.serving.aio import make_async_server
-
-    armed = configure_from_env()  # the main leg's finally disarmed them
-    rng = np.random.default_rng(11)
-    scores = rng.normal(size=(N_USERS, N_USERS))
-    with tempfile.TemporaryDirectory() as tmp:
-        store = ArtifactStore(tmp)
-        store.publish(
-            FrozenPredictor((scores + scores.T) / 2, {"name": "chaos-aio"})
-        )
-        registry = MetricsRegistry()
-        tracer = SamplingTracer(registry, default_rate=0.0)
-        service = LinkPredictionService(
-            store, tracer=tracer, registry=registry
-        )
-        server = make_async_server(service, port=0, request_deadline_s=10.0)
-        server.start()
-        base = f"http://127.0.0.1:{server.server_address[1]}"
-        try:
-            statuses = []
-            for i in range(N_REQUESTS):
-                status, payload = _get(
-                    base, f"/v1/topk?user={i % N_USERS}&k=5"
-                )
-                statuses.append(status)
-                if status == 200 and len(payload["candidates"]) != 5:
-                    raise SystemExit(f"aio: bad 200 payload: {payload!r}")
-            oks = sum(1 for s in statuses if s == 200)
-            if oks == 0:
-                raise SystemExit("aio: chaos took the service fully down")
-            server_errors = sum(1 for s in statuses if s >= 500)
-            committed = tracer.finished()
-            not_errored = [t for t in committed if not t.error]
-            if not_errored:
-                raise SystemExit(
-                    f"aio: rate-0 tracer committed {len(not_errored)} "
-                    "clean traces"
-                )
-            if len(committed) != server_errors:
-                raise SystemExit(
-                    f"aio: {server_errors} 5xx answers but "
-                    f"{len(committed)} error traces committed"
-                )
-            if any(not list(t.spans()) for t in committed):
-                raise SystemExit(
-                    "aio: error trace committed without spans"
-                )
-        finally:
-            GLOBAL_INJECTOR.reset()
-            server.shutdown()
-            server.server_close()
-    print(
-        f"chaos smoke: asyncio leg ok — {oks}/{len(statuses)} served, "
-        f"all {server_errors} 5xx captured as error traces "
-        f"(armed: {', '.join(sorted(armed))})"
-    )
 
 
 def _streaming_leg() -> None:
@@ -335,9 +268,9 @@ def _streaming_leg() -> None:
                 registry=registry, clock=lambda: clock["t"],
             ),
         )
-        server = make_server(service, port=0, request_deadline_s=10.0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server = AsyncLinkPredictionServer(
+            service, port=0, request_deadline_s=10.0
+        ).start()
         base = f"http://127.0.0.1:{server.server_address[1]}"
         try:
             GLOBAL_INJECTOR.arm("serving.reload", probability=1.0)

@@ -1,9 +1,8 @@
 #!/usr/bin/env python
-"""Sustained-load benchmark: throughput-vs-latency for both front ends.
+"""Sustained-load benchmark: throughput-vs-latency of the HTTP server.
 
-An in-repo open-loop load generator for the serving layer.  For each
-front end (``aio`` — the asyncio server, and ``legacy`` — the threaded
-``ThreadingHTTPServer``) the harness:
+An in-repo open-loop load generator for the serving layer.  The
+harness:
 
 1. publishes a tiny :class:`FrozenPredictor` artifact to a throwaway
    store and boots ``python -m repro.serving serve`` in a **subprocess**
@@ -15,25 +14,23 @@ front end (``aio`` — the asyncio server, and ``legacy`` — the threaded
    **scheduled** time, so queueing delay counts against the server —
    recording achieved QPS and p50/p95/p99 per offered rate;
 3. runs one closed-loop *saturation* pass (every connection back to
-   back) whose achieved QPS is the continuous max-throughput measure —
-   the number the CI gate compares across front ends;
-4. records everything as ``bench_loadgen`` snapshots (one per front
-   end) in the repo-root ``BENCH_serving.json`` trajectory.
+   back) whose achieved QPS is the continuous max-throughput measure;
+4. records everything as one ``bench_loadgen`` snapshot (context
+   ``frontend=aio``) in the repo-root ``BENCH_serving.json`` trajectory.
 
 **Sustained QPS** is the saturation throughput *provided* its p99 stays
 within the SLO; otherwise it falls back to the fastest open-loop sweep
 point that met the SLO with ≥90% of its offered rate achieved.
 
 With ``--check`` the run is skipped entirely: the newest committed
-``aio`` and ``legacy`` snapshots are compared and the gate **fails
-(exit 1)** unless the asyncio front end sustains at least ``--min-ratio``
-(default 3x) the legacy throughput with its p99 inside the SLO.
+``aio`` snapshot is read and the gate **fails (exit 1)** unless it
+sustains at least :data:`MIN_SUSTAINED_QPS` with its p99 inside the SLO.
 
 Run from the repo root::
 
     PYTHONPATH=src python tools/load_bench.py --smoke   # short CI sweep
     PYTHONPATH=src python tools/load_bench.py           # full sweep
-    PYTHONPATH=src python tools/load_bench.py --check   # CI ratio gate
+    PYTHONPATH=src python tools/load_bench.py --check   # CI floor gate
 """
 
 from __future__ import annotations
@@ -65,6 +62,19 @@ from trajectory import (  # noqa: E402
 N_USERS = 256
 TOPK_K = 10
 WARMUP_REQUESTS = 30
+FRONTEND = "aio"
+"""Snapshot context tag; keeps new snapshots in the existing series."""
+
+MIN_SUSTAINED_QPS = 3400.0
+"""The ``--check`` floor on sustained QPS.
+
+It keeps the bar of the ratio gate it replaced (asyncio >= 3x the
+thread-per-connection server, which has since been deleted).  On a
+2-core Intel Xeon host, ``--smoke`` runs of that server sustained
+919-1,202 req/s, so 3x its ~1.1k is rounded to 3,400; the asyncio
+server sustained 4,463-5,095 req/s on the same host.  ``full``-mode
+numbers (~7.1k) run higher, which is why the floor is not set there.
+"""
 _BANNER = re.compile(r"on http://[^:]+:(\d+)")
 _CONTENT_LENGTH = re.compile(rb"content-length:\s*(\d+)", re.I)
 
@@ -78,14 +88,12 @@ def _publish_bench_artifact(store_dir: str) -> None:
     )
 
 
-def _boot_server(
-    store_dir: str, frontend: str
-) -> Tuple[subprocess.Popen, int]:
+def _boot_server(store_dir: str) -> Tuple[subprocess.Popen, int]:
     """Start ``repro.serving serve`` in a child process; return (proc, port).
 
-    Telemetry and the batcher are disabled on both front ends so the
-    sweep measures the transport, not the instrumentation; ``-u`` keeps
-    the startup banner (which carries the bound port) unbuffered.
+    Telemetry and the batcher are disabled so the sweep measures the
+    transport, not the instrumentation; ``-u`` keeps the startup banner
+    (which carries the bound port) unbuffered.
     """
     command = [
         sys.executable,
@@ -102,8 +110,6 @@ def _boot_server(
         "--log-level",
         "WARNING",
     ]
-    if frontend == "legacy":
-        command.append("--legacy")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in ("src", env.get("PYTHONPATH", "")) if p
@@ -125,7 +131,7 @@ def _boot_server(
     if port is None:
         proc.terminate()
         raise SystemExit(
-            f"{frontend} server exited before printing its banner "
+            "server exited before printing its banner "
             f"(rc={proc.wait()})"
         )
     return proc, port
@@ -138,7 +144,7 @@ class _Connection:
     single box the generator shares cores with the server under test,
     so every microsecond of client-side parsing shows up as lost
     server throughput.  When the server answers ``Connection: close``
-    (the legacy front end always does) the next request reconnects.
+    (it does while draining) the next request reconnects.
     """
 
     def __init__(self, port: int):
@@ -259,7 +265,7 @@ def _run_saturation(
 
     Achieved QPS here is a *continuous* capacity measure (no offered-
     rate quantization), with tail latency bounded by the connection
-    count — the number the cross-front-end ratio gate uses.
+    count — the number the ``--check`` floor reads.
     """
     results: List[Tuple[float, int]] = []
     lock = threading.Lock()
@@ -326,17 +332,16 @@ def _warm(port: int) -> None:
     conn.close()
 
 
-def _bench_frontend(
-    frontend: str,
+def _bench(
     rates: List[float],
     duration_s: float,
     connections: int,
     slo_ms: float,
 ) -> Dict[str, float]:
-    """Sweep one front end; return the flat stats dict for its snapshot."""
+    """Sweep the server; return the flat stats dict for its snapshot."""
     with tempfile.TemporaryDirectory() as tmp:
         _publish_bench_artifact(tmp)
-        proc, port = _boot_server(tmp, frontend)
+        proc, port = _boot_server(tmp)
         try:
             _warm(port)
             curve = []
@@ -344,7 +349,7 @@ def _bench_frontend(
                 point = _run_open_loop(port, rate, duration_s, connections)
                 curve.append(point)
                 print(
-                    f"  {frontend}: offered {rate:7.0f} qps -> achieved "
+                    f"  offered {rate:7.0f} qps -> achieved "
                     f"{point['achieved_qps']:7.0f} qps  "
                     f"p50 {point['p50_ms']:7.2f}ms  "
                     f"p99 {point['p99_ms']:8.2f}ms  "
@@ -352,7 +357,7 @@ def _bench_frontend(
                 )
             saturation = _run_saturation(port, duration_s, connections)
             print(
-                f"  {frontend}: saturation         -> achieved "
+                f"  saturation         -> achieved "
                 f"{saturation['achieved_qps']:7.0f} qps  "
                 f"p50 {saturation['p50_ms']:7.2f}ms  "
                 f"p99 {saturation['p99_ms']:8.2f}ms  "
@@ -403,37 +408,33 @@ def _sustained_qps(
     return max(passing) if passing else 0.0
 
 
-def _latest_stats(frontend: str, path: Optional[str]) -> Dict[str, float]:
-    """The newest committed ``bench_loadgen`` stats for one front end."""
+def _latest_stats(path: Optional[str]) -> Dict[str, float]:
+    """The newest committed ``bench_loadgen`` stats of the server."""
     for snap in reversed(latest_snapshots("bench_loadgen", 50, path=path)):
-        if (snap.get("context") or {}).get("frontend") == frontend:
+        if (snap.get("context") or {}).get("frontend") == FRONTEND:
             return snap["stats"]
     raise SystemExit(
-        f"no bench_loadgen snapshot for frontend={frontend!r}; "
+        "no bench_loadgen snapshot; "
         "run `python tools/load_bench.py --smoke` first"
     )
 
 
-def run_check(min_ratio: float, slo_ms: float, path: Optional[str]) -> int:
-    """The CI gate: asyncio must sustain ``min_ratio`` x legacy QPS."""
-    aio = _latest_stats("aio", path)
-    legacy = _latest_stats("legacy", path)
-    if legacy["sustained_qps"] <= 0:
-        raise SystemExit("legacy sustained_qps is zero — rerun the sweep")
-    ratio = aio["sustained_qps"] / legacy["sustained_qps"]
+def run_check(slo_ms: float, path: Optional[str]) -> int:
+    """The CI gate: sustain ``MIN_SUSTAINED_QPS`` with p99 in the SLO."""
+    stats = _latest_stats(path)
     print(
-        f"load gate: aio {aio['sustained_qps']:.0f} qps vs legacy "
-        f"{legacy['sustained_qps']:.0f} qps -> {ratio:.2f}x "
-        f"(gate {min_ratio:.1f}x); aio p99 {aio['p99_ms']:.2f}ms "
+        f"load gate: sustained {stats['sustained_qps']:.0f} qps "
+        f"(floor {MIN_SUSTAINED_QPS:.0f} qps); p99 {stats['p99_ms']:.2f}ms "
         f"(SLO {slo_ms:.0f}ms)"
     )
-    if aio["sustained_qps"] == 0 or aio["p99_ms"] > slo_ms:
-        print("load gate: FAIL — asyncio p99 outside the deadline SLO")
+    if stats["sustained_qps"] == 0 or stats["p99_ms"] > slo_ms:
+        print("load gate: FAIL — p99 outside the deadline SLO")
         return 1
-    if ratio < min_ratio:
+    if stats["sustained_qps"] < MIN_SUSTAINED_QPS:
         print(
-            f"load gate: FAIL — asyncio sustained only {ratio:.2f}x "
-            f"legacy (< {min_ratio:.1f}x)"
+            f"load gate: FAIL — sustained only "
+            f"{stats['sustained_qps']:.0f} qps "
+            f"(< {MIN_SUSTAINED_QPS:.0f} qps)"
         )
         return 1
     print("load gate: ok")
@@ -451,13 +452,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="compare committed snapshots; exit 1 under --min-ratio",
-    )
-    parser.add_argument(
-        "--min-ratio",
-        type=float,
-        default=3.0,
-        help="required aio/legacy sustained-QPS ratio (default 3.0)",
+        help="check the newest committed snapshot; exit 1 below the "
+        "sustained-QPS floor",
     )
     parser.add_argument(
         "--connections",
@@ -485,7 +481,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.check:
-        return run_check(args.min_ratio, args.slo_ms, args.bench_path)
+        return run_check(args.slo_ms, args.bench_path)
 
     if args.smoke:
         rates = [250.0, 500.0, 1000.0, 2000.0, 4000.0]
@@ -494,30 +490,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         rates = [250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0]
         duration = args.duration or 4.0
 
-    for frontend in ("legacy", "aio"):
-        print(f"load bench: sweeping {frontend} front end")
-        stats = _bench_frontend(
-            frontend, rates, duration, args.connections, args.slo_ms
-        )
-        record_snapshot(
-            "bench_loadgen",
-            stats,
-            context={
-                "frontend": frontend,
-                "mode": "smoke" if args.smoke else "full",
-                "connections": args.connections,
-                "duration_s": duration,
-                "slo_ms": args.slo_ms,
-                "n_users": N_USERS,
-            },
-            path=args.bench_path,
-        )
-        print(
-            f"load bench: {frontend} sustained "
-            f"{stats['sustained_qps']:.0f} qps "
-            f"(max {stats['max_qps']:.0f} qps, "
-            f"p99 {stats['p99_ms']:.2f}ms)"
-        )
+    print("load bench: sweeping the asyncio server")
+    stats = _bench(rates, duration, args.connections, args.slo_ms)
+    record_snapshot(
+        "bench_loadgen",
+        stats,
+        context={
+            "frontend": FRONTEND,
+            "mode": "smoke" if args.smoke else "full",
+            "connections": args.connections,
+            "duration_s": duration,
+            "slo_ms": args.slo_ms,
+            "n_users": N_USERS,
+        },
+        path=args.bench_path,
+    )
+    print(
+        f"load bench: sustained {stats['sustained_qps']:.0f} qps "
+        f"(max {stats['max_qps']:.0f} qps, p99 {stats['p99_ms']:.2f}ms)"
+    )
     return 0
 
 

@@ -4,7 +4,8 @@
 End-to-end over a throwaway artifact store:
 
 1. publish a tiny synthetic predictor;
-2. start :class:`~repro.serving.http.LinkPredictionServer` on a free port;
+2. start :class:`~repro.serving.aio.AsyncLinkPredictionServer` on a free
+   port;
 3. issue traffic (``/healthz``, ``/v1/topk`` twice — miss then hit, one
    404, one request with a caller-chosen ``X-Request-Id``);
 4. scrape ``/metrics`` and fail unless the payload parses as Prometheus
@@ -22,15 +23,14 @@ import json
 import re
 import sys
 import tempfile
-import threading
 import urllib.error
 import urllib.request
 
 import numpy as np
 
 from repro.models.persistence import FrozenPredictor
+from repro.serving.aio import AsyncLinkPredictionServer
 from repro.serving.artifacts import ArtifactStore
-from repro.serving.http import make_server
 from repro.serving.service import LinkPredictionService
 
 N_USERS = 32
@@ -88,9 +88,7 @@ def main() -> int:
         store = ArtifactStore(tmp)
         store.publish(FrozenPredictor((scores + scores.T) / 2, {"name": "smoke"}))
         service = LinkPredictionService(store)
-        server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server = AsyncLinkPredictionServer(service, port=0).start()
         base = f"http://127.0.0.1:{server.server_address[1]}"
         try:
             with urllib.request.urlopen(f"{base}/healthz", timeout=10) as r:
