@@ -19,6 +19,7 @@ perf baseline future PRs regress against.  Print the tables with
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 
@@ -259,7 +260,12 @@ def test_batcher_mixed_k_coalescing(benchmark, served):
         for b in range(n_batches)
     ]
 
+    # Each pass times ~15-30 ms of work.  A generation-2 collection takes
+    # 50-70 ms late in a `pytest benchmarks` run; one starting inside a
+    # pass would time the collector instead of the strategy, so each pass
+    # starts from a fresh collection.
     def run_grouped():
+        gc.collect()
         elapsed = 0.0
         answers = {}
         for users, ks in batches:
@@ -277,6 +283,7 @@ def test_batcher_mixed_k_coalescing(benchmark, served):
         return elapsed, answers
 
     def run_coalesced():
+        gc.collect()
         elapsed = 0.0
         answers = {}
         for users, ks in batches:

@@ -98,7 +98,6 @@ from repro.serving import (
 )
 from repro.sharding import (
     ShardedArtifactStore,
-    ShardedLinkPredictionService,
     ShardedSlamPred,
     ShardPlan,
     plan_shards,
@@ -177,7 +176,6 @@ __all__ = [
     "RankingCache",
     "ShardPlan",
     "ShardedArtifactStore",
-    "ShardedLinkPredictionService",
     "ShardedSlamPred",
     "plan_shards",
     "GraphDenoiser",

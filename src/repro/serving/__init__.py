@@ -6,9 +6,12 @@ needs, and nothing from the training stack:
 * :mod:`repro.serving.artifacts` — :class:`ArtifactStore`, the
   directory-per-version on-disk store with ``manifest.json`` checksums and
   integrity-validated ``publish``/``resolve_latest``/``load``;
-* :mod:`repro.serving.service` — :class:`LinkPredictionService` with
+* :mod:`repro.serving.service` — :class:`LinkPredictionService`, the one
+  service for dense, factored and sharded artifacts, with
   ``score``/``top_k``/``batch_top_k`` and hot-swap ``reload()`` that falls
   back to the previous artifact when a new one fails validation;
+* :mod:`repro.serving.candidates` — the per-artifact candidate sources
+  the service ranks through;
 * :mod:`repro.serving.cache` — the LRU :class:`RankingCache` with
   hit/miss/eviction counters;
 * :mod:`repro.serving.batcher` — :class:`MicroBatcher`, coalescing

@@ -30,9 +30,10 @@ import shutil
 import time
 import zipfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
+from scipy import sparse
 
 from repro.exceptions import ArtifactCorruptError, SerializationError
 from repro.models.base import MatrixPredictor
@@ -45,13 +46,15 @@ from repro.models.persistence import (
     save_predictor,
 )
 from repro.reliability.faults import fault_point
+from repro.serving.candidates import DenseCandidates, FactoredCandidates
 
 MANIFEST_SCHEMA_VERSION = 1
 """Bumped whenever the manifest.json layout changes incompatibly."""
 
 _MANIFEST = "manifest.json"
 _MODEL_FILE = "model.npz"
-_GRAPH_FILE = "graph.npz"
+GRAPH_FILE = "graph.npz"
+"""The optional known-link graph archive inside a version directory."""
 _VERSION_DIR = re.compile(r"^v(\d{4,})$")
 _STAGING_PREFIX = ".staging-"
 
@@ -114,52 +117,43 @@ class LoadedArtifact:
         """
         return int(self.predictor.n_users)
 
+    def candidates(self, tracer=None, registry=None):
+        """This artifact's candidate source for the serving layer.
 
-class ArtifactStore:
-    """Directory-per-version artifact store with integrity validation.
+        Dense predictors pre-mask their full score matrix
+        (:class:`~repro.serving.candidates.DenseCandidates`); factored
+        ones compute rows on demand from the O(nk) factors
+        (:class:`~repro.serving.candidates.FactoredCandidates`), so
+        install cost and resident memory stay O(nk) at any user count.
+        Neither needs the service's telemetry sinks.
+        """
+        if getattr(self.predictor, "factored", False):
+            return FactoredCandidates(self.predictor, self.adjacency)
+        return DenseCandidates(self.predictor, self.adjacency)
+
+
+class VersionedStore:
+    """Directory-per-version mechanics shared by every artifact store.
+
+    One copy of what :class:`ArtifactStore` and
+    :class:`~repro.sharding.artifacts.ShardedArtifactStore` have in
+    common: version directories, latest-version resolution, the staged
+    publish (write into a hidden directory, rename into place, clean up
+    on failure), the schema-checked manifest read and the per-file
+    sha256 verification.  Subclasses choose the file set, the manifest
+    fields and :attr:`SCHEMA_VERSION`.
 
     Parameters
     ----------
     root:
         The store directory; created (with parents) on first use.
-
-    Parameters
-    ----------
-    layout:
-        On-disk shape of *factored* publishes.  ``"npz"`` (default) keeps
-        the single compressed ``model.npz`` archive; ``"npy"`` writes one
-        uncompressed ``.npy`` file per factor array plus a ``model.json``
-        header, which is the only layout numpy can memory-map.  Dense
-        publishes always use ``model.npz``.  Loading is layout-agnostic:
-        every store reads both layouts, so the flag only shapes what this
-        store *writes*.
-    mmap:
-        Whether ``load`` maps npy-layout factor arrays with
-        ``np.load(..., mmap_mode="r")`` (default) instead of copying them
-        onto the heap.  Pass ``False`` — the opt-out for writable paths —
-        to materialize ordinary arrays.  Has no effect on ``.npz``
-        versions, which numpy cannot map.
-
-    Examples
-    --------
-    >>> import tempfile
-    >>> from repro.models.persistence import FrozenPredictor
-    >>> store = ArtifactStore(tempfile.mkdtemp())
-    >>> version = store.publish(FrozenPredictor(np.eye(3)))
-    >>> store.resolve_latest() == version == 1
-    True
-    >>> store.load().predictor.score_matrix.shape
-    (3, 3)
     """
 
-    def __init__(self, root: str, layout: str = "npz", mmap: bool = True):
+    SCHEMA_VERSION = MANIFEST_SCHEMA_VERSION
+    """The manifest ``schema_version`` this store writes and reads."""
+
+    def __init__(self, root: str):
         self.root = str(root)
-        if layout not in ("npz", "npy"):
-            raise SerializationError(
-                f"layout must be 'npz' or 'npy', got {layout!r}"
-            )
-        self.layout = layout
-        self.mmap = bool(mmap)
         os.makedirs(self.root, exist_ok=True)
 
     # -- layout ---------------------------------------------------------
@@ -179,13 +173,7 @@ class ArtifactStore:
         return sorted(found)
 
     def resolve_latest(self) -> int:
-        """The highest published version number.
-
-        Raises
-        ------
-        SerializationError
-            If the store holds no published versions.
-        """
+        """The highest published version number (raises when empty)."""
         versions = self.versions()
         if not versions:
             raise SerializationError(
@@ -194,97 +182,32 @@ class ArtifactStore:
         return versions[-1]
 
     # -- publish --------------------------------------------------------
-    def publish(
-        self,
-        model: MatrixPredictor,
-        graph=None,
-        meta: Optional[Dict] = None,
+    def _publish_staged(
+        self, write: Callable[[str], Dict], adjacency=None
     ) -> int:
-        """Write a fitted predictor as the next version; returns its number.
+        """Stage, fill and rename the next version; returns its number.
 
-        Parameters
-        ----------
-        model:
-            Any fitted matrix predictor (raises ``NotFittedError`` before
-            any disk state is touched if it is not).
-        graph:
-            Optional known-link structure — a
-            :class:`~repro.networks.social.SocialGraph`, a square binary
-            adjacency ndarray, or a scipy sparse matrix matching the
-            predictor's user count.  Serving uses it to exclude
-            already-connected pairs from top-k answers.  Sparse inputs
-            stay sparse on disk (CSR arrays), which is how factored
-            publishes keep the whole artifact O(nk).
-        meta:
-            Extra JSON-compatible metadata recorded in the manifest
-            (experiment name, training scale, …).
+        ``write(staging)`` writes the version's model files into the
+        staging directory and returns the manifest fields (including
+        ``files``); the optional graph, the schema and the version
+        number are added here.  Any failure removes the staging
+        directory, so readers never observe a half-written version.
         """
-        from scipy import sparse as _sparse
-
-        factored = bool(getattr(model, "factored", False))
-        if factored:
-            # Fitted check before touching disk; never densifies.
-            n_users = int(model.factored_estimate.n_users)
-        else:
-            n_users = int(model.score_matrix.shape[0])
-        adjacency = None
-        if graph is not None:
-            adjacency = getattr(graph, "adjacency", graph)
-            if _sparse.issparse(adjacency):
-                adjacency = _sparse.csr_matrix(adjacency, dtype=float)
-            else:
-                adjacency = np.asarray(adjacency, dtype=float)
-            if adjacency.shape != (n_users, n_users):
-                raise SerializationError(
-                    f"graph adjacency {adjacency.shape} does not match the "
-                    f"predictor's {(n_users, n_users)}"
-                )
         version = (self.versions() or [0])[-1] + 1
         staging = os.path.join(
             self.root, f"{_STAGING_PREFIX}v{version:04d}-{os.getpid()}"
         )
         os.makedirs(staging)
         try:
-            if factored and self.layout == "npy":
-                # Memory-mappable layout: one raw .npy per factor array.
-                written = save_factored_layout(model, staging)
-                files = {
-                    name: self._file_entry(path)
-                    for name, path in sorted(written.items())
-                }
-            else:
-                model_path = os.path.join(staging, _MODEL_FILE)
-                save_predictor(model, model_path)
-                files = {_MODEL_FILE: self._file_entry(model_path)}
-            if adjacency is not None:
-                graph_path = os.path.join(staging, _GRAPH_FILE)
-                if _sparse.issparse(adjacency):
-                    np.savez_compressed(
-                        graph_path,
-                        format=np.frombuffer(b"csr", dtype=np.uint8),
-                        data=adjacency.data,
-                        indices=adjacency.indices,
-                        indptr=adjacency.indptr,
-                        shape=np.asarray(adjacency.shape, dtype=np.int64),
-                    )
-                else:
-                    np.savez_compressed(graph_path, adjacency=adjacency)
-                files[_GRAPH_FILE] = self._file_entry(graph_path)
             manifest = {
-                "schema_version": MANIFEST_SCHEMA_VERSION,
+                "schema_version": self.SCHEMA_VERSION,
                 "version": version,
-                "name": model.name,
-                "model_class": type(model).__name__,
-                "kind": "factored" if factored else "dense",
-                "layout": (
-                    "npy" if factored and self.layout == "npy" else "npz"
-                ),
-                "n_users": n_users,
-                "created_at": time.time(),  # wall-clock: a timestamp, not a duration
-                "hyper_parameters": _scalar_params(model),
-                "meta": dict(meta or {}),
-                "files": files,
+                **write(staging),
             }
+            if adjacency is not None:
+                graph_path = os.path.join(staging, GRAPH_FILE)
+                _save_graph(graph_path, adjacency)
+                manifest["files"][GRAPH_FILE] = self._file_entry(graph_path)
             with open(
                 os.path.join(staging, _MANIFEST), "w", encoding="utf-8"
             ) as handle:
@@ -325,12 +248,35 @@ class ArtifactStore:
                 f"corrupt manifest {manifest_path}: {exc}"
             ) from exc
         schema = manifest.get("schema_version")
-        if schema != MANIFEST_SCHEMA_VERSION:
+        if schema != self.SCHEMA_VERSION:
             raise SerializationError(
                 f"manifest {manifest_path} has schema version {schema}; "
-                f"this build reads version {MANIFEST_SCHEMA_VERSION}"
+                f"this build reads version {self.SCHEMA_VERSION}"
             )
         return manifest
+
+    def _verify_file(
+        self, version: int, manifest: Dict, filename: str
+    ) -> str:
+        """Hash-check one manifest file; returns its absolute path."""
+        entry = manifest.get("files", {}).get(filename)
+        if entry is None:
+            raise ArtifactCorruptError(
+                f"artifact v{version:04d} manifest lists no file {filename}"
+            )
+        path = os.path.join(self.path(version), filename)
+        if not os.path.isfile(path):
+            raise ArtifactCorruptError(
+                f"artifact v{version:04d} is missing {filename}"
+            )
+        actual = file_sha256(path)
+        if actual != entry.get("sha256"):
+            raise ArtifactCorruptError(
+                f"artifact file {path} failed its integrity check: "
+                f"manifest says sha256 {entry.get('sha256', '?')[:12]}… "
+                f"but the file hashes to {actual[:12]}…"
+            )
+        return path
 
     def verify(self, version: Optional[int] = None) -> Dict:
         """Re-hash every file of a version against its manifest.
@@ -338,26 +284,120 @@ class ArtifactStore:
         Returns the manifest on success; raises
         :class:`~repro.exceptions.ArtifactCorruptError` (a
         :class:`~repro.exceptions.SerializationError`) naming the first
-        file whose checksum or size diverges.
+        file whose checksum diverges or that is missing.
         """
         version = self.resolve_latest() if version is None else int(version)
         manifest = self.manifest(version)
-        directory = self.path(version)
-        for filename, entry in manifest.get("files", {}).items():
-            path = os.path.join(directory, filename)
-            if not os.path.isfile(path):
-                raise ArtifactCorruptError(
-                    f"artifact v{version:04d} is missing {filename}"
-                )
-            actual = file_sha256(path)
-            if actual != entry.get("sha256"):
-                raise ArtifactCorruptError(
-                    f"artifact file {path} failed its integrity check: "
-                    f"manifest says sha256 {entry.get('sha256', '?')[:12]}… "
-                    f"but the file hashes to {actual[:12]}…"
-                )
+        for filename in manifest.get("files", {}):
+            self._verify_file(version, manifest, filename)
         return manifest
 
+
+class ArtifactStore(VersionedStore):
+    """Directory-per-version artifact store with integrity validation.
+
+    Parameters
+    ----------
+    root:
+        The store directory; created (with parents) on first use.
+    layout:
+        On-disk shape of *factored* publishes.  ``"npz"`` (default) keeps
+        the single compressed ``model.npz`` archive; ``"npy"`` writes one
+        uncompressed ``.npy`` file per factor array plus a ``model.json``
+        header, which is the only layout numpy can memory-map.  Dense
+        publishes always use ``model.npz``.  Loading is layout-agnostic:
+        every store reads both layouts, so the flag only shapes what this
+        store *writes*.
+    mmap:
+        Whether ``load`` maps npy-layout factor arrays with
+        ``np.load(..., mmap_mode="r")`` (default) instead of copying them
+        onto the heap.  Pass ``False`` — the opt-out for writable paths —
+        to materialize ordinary arrays.  Has no effect on ``.npz``
+        versions, which numpy cannot map.
+
+    Examples
+    --------
+    >>> import tempfile
+    >>> from repro.models.persistence import FrozenPredictor
+    >>> store = ArtifactStore(tempfile.mkdtemp())
+    >>> version = store.publish(FrozenPredictor(np.eye(3)))
+    >>> store.resolve_latest() == version == 1
+    True
+    >>> store.load().predictor.score_matrix.shape
+    (3, 3)
+    """
+
+    def __init__(self, root: str, layout: str = "npz", mmap: bool = True):
+        if layout not in ("npz", "npy"):
+            raise SerializationError(
+                f"layout must be 'npz' or 'npy', got {layout!r}"
+            )
+        super().__init__(root)
+        self.layout = layout
+        self.mmap = bool(mmap)
+
+    # -- publish --------------------------------------------------------
+    def publish(
+        self,
+        model: MatrixPredictor,
+        graph=None,
+        meta: Optional[Dict] = None,
+    ) -> int:
+        """Write a fitted predictor as the next version; returns its number.
+
+        Parameters
+        ----------
+        model:
+            Any fitted matrix predictor (raises ``NotFittedError`` before
+            any disk state is touched if it is not).
+        graph:
+            Optional known-link structure — a
+            :class:`~repro.networks.social.SocialGraph`, a square binary
+            adjacency ndarray, or a scipy sparse matrix matching the
+            predictor's user count.  Serving uses it to exclude
+            already-connected pairs from top-k answers.  Sparse inputs
+            stay sparse on disk (CSR arrays), which is how factored
+            publishes keep the whole artifact O(nk).
+        meta:
+            Extra JSON-compatible metadata recorded in the manifest
+            (experiment name, training scale, …).
+        """
+        factored = bool(getattr(model, "factored", False))
+        if factored:
+            # Fitted check before touching disk; never densifies.
+            n_users = int(model.factored_estimate.n_users)
+        else:
+            n_users = int(model.score_matrix.shape[0])
+        adjacency = graph_adjacency(graph, n_users, "predictor")
+        npy = factored and self.layout == "npy"
+
+        def write(staging: str) -> Dict:
+            if npy:
+                # Memory-mappable layout: one raw .npy per factor array.
+                written = save_factored_layout(model, staging)
+                files = {
+                    name: self._file_entry(path)
+                    for name, path in sorted(written.items())
+                }
+            else:
+                model_path = os.path.join(staging, _MODEL_FILE)
+                save_predictor(model, model_path)
+                files = {_MODEL_FILE: self._file_entry(model_path)}
+            return {
+                "name": model.name,
+                "model_class": type(model).__name__,
+                "kind": "factored" if factored else "dense",
+                "layout": "npy" if npy else "npz",
+                "n_users": n_users,
+                "created_at": time.time(),  # wall-clock: a timestamp, not a duration
+                "hyper_parameters": _scalar_params(model),
+                "meta": dict(meta or {}),
+                "files": files,
+            }
+
+        return self._publish_staged(write, adjacency)
+
+    # -- read -----------------------------------------------------------
     def load(self, version: Optional[int] = None) -> LoadedArtifact:
         """Load and validate a version (default: latest).
 
@@ -386,15 +426,12 @@ class ArtifactStore:
         else:
             predictor = load_predictor(os.path.join(directory, _MODEL_FILE))
         adjacency = None
-        if _GRAPH_FILE in manifest.get("files", {}):
-            graph_path = os.path.join(directory, _GRAPH_FILE)
-            adjacency = _load_graph(graph_path)
-            n_users = int(predictor.n_users)
-            if adjacency.shape != (n_users, n_users):
-                raise SerializationError(
-                    f"graph adjacency {adjacency.shape} does not match the "
-                    f"predictor's {(n_users, n_users)}"
-                )
+        if GRAPH_FILE in manifest.get("files", {}):
+            adjacency = graph_adjacency(
+                load_graph(os.path.join(directory, GRAPH_FILE)),
+                int(predictor.n_users),
+                "predictor",
+            )
         return LoadedArtifact(
             version=version,
             manifest=manifest,
@@ -403,14 +440,51 @@ class ArtifactStore:
         )
 
 
-def _load_graph(graph_path: str):
+def graph_adjacency(graph, n_users: int, owner: str, dense: bool = True):
+    """The float adjacency of a graph (``None`` stays ``None``).
+
+    ``graph`` is a :class:`~repro.networks.social.SocialGraph`, an
+    ndarray or a scipy sparse matrix; sparse inputs (all inputs when
+    ``dense`` is false) become CSR.  Raises
+    :class:`~repro.exceptions.SerializationError` unless it is
+    ``n_users`` square.
+    """
+    if graph is None:
+        return None
+    adjacency = getattr(graph, "adjacency", graph)
+    if sparse.issparse(adjacency) or not dense:
+        adjacency = sparse.csr_matrix(adjacency, dtype=float)
+    else:
+        adjacency = np.asarray(adjacency, dtype=float)
+    if adjacency.shape != (n_users, n_users):
+        raise SerializationError(
+            f"graph adjacency {adjacency.shape} does not match the "
+            f"{owner}'s {(n_users, n_users)}"
+        )
+    return adjacency
+
+
+def _save_graph(graph_path: str, adjacency) -> None:
+    """Write a known-link graph archive: sparse as CSR arrays, else dense."""
+    if sparse.issparse(adjacency):
+        np.savez_compressed(
+            graph_path,
+            format=np.frombuffer(b"csr", dtype=np.uint8),
+            data=adjacency.data,
+            indices=adjacency.indices,
+            indptr=adjacency.indptr,
+            shape=np.asarray(adjacency.shape, dtype=np.int64),
+        )
+    else:
+        np.savez_compressed(graph_path, adjacency=adjacency)
+
+
+def load_graph(graph_path: str):
     """Read a published graph archive — dense ndarray or sparse CSR.
 
     The archive self-describes: a ``format`` marker (b"csr") selects the
     sparse layout, otherwise the legacy dense ``adjacency`` array is read.
     """
-    from scipy import sparse
-
     try:
         with np.load(graph_path) as data:
             if "format" in data.files:

@@ -20,8 +20,10 @@ ways (see DESIGN.md §16.5):
 * explicitly, via :meth:`LinkPredictionService.engage_degraded`, which
   the streaming pipeline calls when *its* refit breaker opens.
 
-Answers from this tier bypass the version-keyed ranking cache (they are
-not model answers and must never be cached as such).
+The scorer is a candidate source (:mod:`repro.serving.candidates`) like
+the model's own, but not a cacheable one: its answers bypass the
+version-keyed ranking cache (they are not model answers and must never
+be cached as such).
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.exceptions import ConfigurationError
-
-Ranking = List[Tuple[int, float]]
+from repro.serving.candidates import Ranking, rank_row
 
 
 class CommonNeighborScorer:
@@ -53,6 +54,8 @@ class CommonNeighborScorer:
     >>> scorer.top_k(0, k=1)  # 0 and 3 share the neighbor 2
     [(3, 1.0)]
     """
+
+    cacheable = False
 
     def __init__(self, adjacency):
         known = sparse.csr_matrix(adjacency)
@@ -82,22 +85,17 @@ class CommonNeighborScorer:
 
     def top_k(self, user: int, k: int = 10) -> Ranking:
         """Best ``k`` unlinked candidates for ``user`` by shared neighbors."""
-        return self.batch_top_k_mixed([user], [k])[0]
+        return self.rank([user], [k])[0][0]
 
-    def batch_top_k_mixed(
+    def rank(
         self, users: Sequence[int], ks: Sequence[int]
-    ) -> List[Ranking]:
-        """Per-request ``k`` rankings in one sparse matmul pass."""
-        users = np.asarray(list(users), dtype=int)
-        rows = self._candidate_rows(users)
-        rankings: List[Ranking] = []
-        for row, k in zip(rows, ks):
-            finite = np.flatnonzero(np.isfinite(row) & (row > 0))
-            if finite.size == 0:
-                rankings.append([])
-                continue
-            kth = min(int(k), finite.size)
-            top = finite[np.argpartition(-row[finite], kth - 1)[:kth]]
-            top = top[np.argsort(-row[top], kind="stable")]
-            rankings.append([(int(v), float(row[v])) for v in top])
-        return rankings
+    ) -> Tuple[List[Ranking], bool]:
+        """Per-request ``k`` rankings in one sparse matmul pass.
+
+        Candidates sharing no neighbor are dropped.  The answers are
+        never *complete* in the candidate-source sense: they stand in
+        for the model's, so the service must not cache them.
+        """
+        rows = self._candidate_rows(np.asarray(list(users), dtype=int))
+        rows[rows <= 0] = -np.inf
+        return [rank_row(row, int(k)) for row, k in zip(rows, ks)], False

@@ -1,19 +1,17 @@
 """The in-process link-prediction service: score, top-k, hot-swap reload.
 
-:class:`LinkPredictionService` is the layer every front-end (HTTP handler,
-micro-batcher, CLI) talks to.  It owns
-
-* the current :class:`~repro.serving.artifacts.LoadedArtifact` (predictor +
-  known-link adjacency) pulled from an
-  :class:`~repro.serving.artifacts.ArtifactStore`,
-* a pre-masked *candidate matrix* — scores with ``-inf`` written over the
-  diagonal and every already-known link, so ranking is a single vectorized
-  ``argpartition`` per row,
-* a :class:`~repro.serving.cache.RankingCache` keyed by
-  ``(version, user, k)``, and
-* a :class:`~repro.observability.Tracer` through which every request path
-  records latency spans and counters (``serve.requests``,
-  ``serve.cache_hit``, ``serve.reloads``, …).
+:class:`LinkPredictionService` is the one serving service — every
+front-end (HTTP router, micro-batcher, CLI) talks to it — for dense,
+factored and sharded artifacts alike.  It owns the artifact loaded from
+its store (an :class:`~repro.serving.artifacts.ArtifactStore` or a
+:class:`~repro.sharding.artifacts.ShardedArtifactStore`), the candidate
+source that artifact builds (:mod:`repro.serving.candidates`, the only
+code that differs per kind), the degraded tier built from the artifact's
+graph, a :class:`~repro.serving.cache.RankingCache` of complete answers
+keyed by ``(version, user, k)``, and a
+:class:`~repro.observability.Tracer` through which every request path
+records latency spans and counters (``serve.requests``,
+``serve.cache_hit``, ``serve.reloads``, …).
 
 ``reload()`` hot-swaps to the store's newest version atomically under a
 lock and *falls back to the artifact already being served* when the new
@@ -25,11 +23,7 @@ from __future__ import annotations
 
 import threading
 import time
-from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
-from scipy import sparse
 
 from repro.exceptions import (
     ConfigurationError,
@@ -45,8 +39,10 @@ from repro.observability.tracer import Tracer
 from repro.reliability.breaker import OPEN, CircuitBreaker
 from repro.reliability.faults import fault_point
 from repro.reliability.retry import RetryPolicy, call_with_retry
-from repro.serving.artifacts import ArtifactStore, LoadedArtifact
+from repro.serving.artifacts import ArtifactStore, VersionedStore
 from repro.serving.cache import RankingCache
+from repro.serving.candidates import Ranking
+from repro.serving.degraded import CommonNeighborScorer
 from repro.utils.validation import check_integer
 
 DEFAULT_LOAD_RETRY = RetryPolicy(
@@ -63,9 +59,6 @@ corrupt artifact exhausts the attempts quickly and surfaces as
 
 _log = get_logger("repro.serving.service")
 
-Ranking = List[Tuple[int, float]]
-"""A top-k answer: ``(candidate index, score)`` pairs, best first."""
-
 
 class LinkPredictionService:
     """Serve link-prediction queries from the latest store artifact.
@@ -73,8 +66,11 @@ class LinkPredictionService:
     Parameters
     ----------
     store:
-        An :class:`~repro.serving.artifacts.ArtifactStore` or the path of
-        one; the latest version is loaded at construction.
+        An :class:`~repro.serving.artifacts.ArtifactStore`, a
+        :class:`~repro.sharding.artifacts.ShardedArtifactStore`, or the
+        path of an ``ArtifactStore``; the latest version is loaded at
+        construction.  A sharded store loads leniently: a corrupt shard
+        drops only that shard's candidates.
     cache_size:
         Capacity of the per-user ranking cache.
     tracer:
@@ -94,12 +90,25 @@ class LinkPredictionService:
         :class:`~repro.observability.metrics.NullRegistry` (paired with a
         :class:`~repro.observability.NullTracer`) for the zero-overhead
         uninstrumented path.
+    load_retry:
+        The :class:`~repro.reliability.retry.RetryPolicy` for store reads
+        (named ``artifact.load``); :data:`DEFAULT_LOAD_RETRY` when
+        omitted.
+    reload_breaker:
+        The :class:`~repro.reliability.breaker.CircuitBreaker` guarding
+        ``reload()``; a breaker named ``reload`` (3 failures, 5 s
+        recovery) is created when omitted.
     cells:
         Optional shared :class:`~repro.observability.cells.CellBank` for
         the hot-tier striped metrics; a private bank over ``registry``
         is created when omitted.  Pass one explicitly to share cells
         between the service, its tracer and a
         :class:`~repro.observability.cells.CellAggregator`.
+    enable_degraded_tier:
+        Build the common-neighbor degraded tier from each served
+        artifact's graph (DESIGN.md §16.5).  It answers while the reload
+        breaker is open or after :meth:`engage_degraded`; an artifact
+        published without a graph has no degraded tier.
 
     Examples
     --------
@@ -116,7 +125,7 @@ class LinkPredictionService:
 
     def __init__(
         self,
-        store: Union[ArtifactStore, str],
+        store: Union[VersionedStore, str],
         cache_size: int = 1024,
         tracer: Optional[Tracer] = None,
         version: Optional[int] = None,
@@ -126,7 +135,9 @@ class LinkPredictionService:
         cells: Optional[CellBank] = None,
         enable_degraded_tier: bool = False,
     ):
-        self.store = store if isinstance(store, ArtifactStore) else ArtifactStore(store)
+        self.store = (
+            store if isinstance(store, VersionedStore) else ArtifactStore(store)
+        )
         self.registry = registry if registry is not None else MetricsRegistry()
         self.cells = cells if cells is not None else CellBank(self.registry)
         self.tracer = (
@@ -147,8 +158,8 @@ class LinkPredictionService:
         self._c_hit = self.tracer.hot_counter("serve.cache_hit")
         self._c_miss = self.tracer.hot_counter("serve.cache_miss")
         self._lock = threading.RLock()
-        self._artifact: LoadedArtifact = None
-        self._candidates: np.ndarray = None
+        self._artifact = None
+        self._source = None
         # Monotonic clock for all duration math: NTP/wall-clock jumps must
         # never corrupt uptime or latency numbers.
         self._started_at = time.monotonic()
@@ -174,10 +185,10 @@ class LinkPredictionService:
             load_retry if load_retry is not None else DEFAULT_LOAD_RETRY
         )
         # Degraded tier (DESIGN.md §16.5): a common-neighbor scorer built
-        # from the published adjacency, served while the reload breaker is
-        # open or a caller (the streaming pipeline) engaged it explicitly.
+        # from the served artifact's graph, answering while the reload
+        # breaker is open or a caller (the streaming pipeline) engaged it.
         self._enable_degraded = bool(enable_degraded_tier)
-        self._degraded_scorer = None
+        self._fallback: Optional[CommonNeighborScorer] = None
         self._degraded_reason: Optional[str] = None
         self._m_degraded = self.registry.gauge(
             "serving.degraded_mode",
@@ -198,7 +209,7 @@ class LinkPredictionService:
         )
         self._install(self._load(version))
 
-    def _load(self, version: Optional[int]) -> LoadedArtifact:
+    def _load(self, version: Optional[int]):
         """One retried, metric-counted artifact read from the store."""
         return call_with_retry(
             lambda: self.store.load(version),
@@ -208,44 +219,19 @@ class LinkPredictionService:
         )
 
     # -- artifact state -------------------------------------------------
-    def _install(self, artifact: LoadedArtifact) -> None:
-        """Swap in a validated artifact and rebuild the candidate source.
-
-        Dense artifacts pre-mask the full score matrix as before.
-        Factored artifacts install a :class:`_FactoredCandidates` view
-        instead: rows are computed on demand from the O(nk) factors (one
-        ``u_i Vᵀ`` matvec each), so install cost and resident memory stay
-        O(nk) at any user count.
-        """
-        predictor = artifact.predictor
-        if getattr(predictor, "factored", False):
-            candidates = _FactoredCandidates(
-                predictor.factored_estimate, artifact.adjacency
-            )
-        else:
-            scores = predictor.score_matrix
-            candidates = np.array(scores, dtype=float)
-            adjacency = artifact.adjacency
-            if adjacency is not None:
-                if sparse.issparse(adjacency):
-                    # Sparse published graphs (the streaming pipeline's
-                    # shape) mask via coordinates — no dense expansion.
-                    coo = adjacency.tocoo()
-                    known = coo.data > 0
-                    candidates[coo.row[known], coo.col[known]] = -np.inf
-                else:
-                    candidates[adjacency > 0] = -np.inf
-            np.fill_diagonal(candidates, -np.inf)
-        scorer = None
+    def _install(self, artifact) -> None:
+        """Swap in a validated artifact and the sources built from it."""
+        source = artifact.candidates(self.tracer, self.registry)
+        # The degraded tier comes only from this artifact's graph.
+        fallback = None
         if self._enable_degraded and artifact.adjacency is not None:
-            from repro.serving.degraded import CommonNeighborScorer
-
-            scorer = CommonNeighborScorer(artifact.adjacency)
+            fallback = CommonNeighborScorer(artifact.adjacency)
         with self._lock:
             self._artifact = artifact
-            self._candidates = candidates
-            if scorer is not None:
-                self._degraded_scorer = scorer
+            self._source = source
+            self._fallback = fallback
+        if fallback is None:
+            self._m_degraded.set(0.0)  # no tier: queries never refresh it
         self._m_version.set(artifact.version)
 
     @property
@@ -259,8 +245,8 @@ class LinkPredictionService:
         return self._artifact.n_users
 
     @property
-    def artifact(self) -> LoadedArtifact:
-        """The currently-served artifact (predictor, manifest, adjacency)."""
+    def artifact(self):
+        """The currently-served artifact (manifest, adjacency, model)."""
         return self._artifact
 
     def reload(self) -> bool:
@@ -327,44 +313,46 @@ class LinkPredictionService:
 
         Called by the streaming pipeline when its refit breaker opens.
         Returns ``False`` (and stays on the model) when the tier is
-        disabled or no published adjacency exists to build it from.
+        disabled or the served artifact has no graph to build it from.
         """
-        if not self._enable_degraded or self._degraded_scorer is None:
+        if self._fallback is None:
             return False
         self._degraded_reason = str(reason)
-        self._degraded()
+        self._answering()
         _log.warning("degraded tier engaged", reason=reason)
         return True
 
     def disengage_degraded(self) -> None:
         """Clear an explicit engagement (breaker-driven entry may remain)."""
         self._degraded_reason = None
-        self._degraded()
+        self._answering()
 
-    def _degraded(self) -> bool:
-        """Whether this request should be answered by the degraded tier.
+    def _answering(self, n: int = 0):
+        """The source for the next ``n`` answers: degraded tier or model.
 
-        True while the tier is enabled, buildable, and either explicitly
-        engaged or forced by an **open** reload breaker (the store is
-        misbehaving, so the installed model's staleness is unbounded).
-        Also refreshes the ``serving.degraded_mode`` gauge so scrapes see
-        transitions without waiting for a query.
+        The degraded tier answers while it exists (enabled, and the
+        served artifact has a graph) and is either explicitly engaged or
+        forced by an **open** reload breaker (the store is misbehaving,
+        so the installed model's staleness is unbounded).  Also refreshes
+        the ``serving.degraded_mode`` gauge, while the tier exists, so
+        scrapes see transitions without waiting for a query.
         """
-        active = (
-            self._enable_degraded
-            and self._degraded_scorer is not None
-            and (
-                self._degraded_reason is not None
-                or self._reload_breaker.state == OPEN
-            )
-        )
-        self._m_degraded.set(1.0 if active else 0.0)
-        return active
+        fallback = self._fallback
+        if fallback is None:
+            return self._source
+        if self._degraded_reason is None and (
+            self._reload_breaker.state != OPEN
+        ):
+            self._m_degraded.set(0.0)
+            return self._source
+        self._m_degraded.set(1.0)
+        self._m_degraded_requests.inc(n)
+        return fallback
 
     @property
     def degraded_active(self) -> bool:
         """Public read of the degraded-tier state (refreshes the gauge)."""
-        return self._degraded()
+        return self._answering() is self._fallback
 
     # -- readiness ------------------------------------------------------
     @property
@@ -396,20 +384,16 @@ class LinkPredictionService:
         return user
 
     def score(self, u: int, v: int) -> float:
-        """The raw model confidence for the pair ``(u, v)``.
+        """The confidence for ``(u, v)`` from the answering source.
 
-        Routed through the predictor's pair-scoring API: an O(1) matrix
-        read for dense artifacts, an O(k) factor dot for factored ones —
-        never a dense materialization.
+        O(1) for dense artifacts, O(k) for factored ones, a max over
+        co-modeling shards for sharded ones; never densifies.
         """
         with self.tracer.span("serve.score"):
             self._c_requests.inc()
             self._c_score.inc()
             u, v = self.check_user(u), self.check_user(v)
-            if self._degraded():
-                self._m_degraded_requests.inc()
-                return self._degraded_scorer.score(u, v)
-            return float(self._artifact.predictor.score_pairs([(u, v)])[0])
+            return self._answering(1).score(u, v)
 
     def is_known_link(self, u: int, v: int) -> bool:
         """Whether ``(u, v)`` is already connected in the published graph.
@@ -425,39 +409,33 @@ class LinkPredictionService:
         """The ``k`` best candidate links for ``user``, best first.
 
         Self-loops and already-known links never appear; users connected to
-        everyone get an empty list.  Answers are cached per
-        ``(version, user, k)``.
+        everyone get an empty list.  Complete answers are cached per
+        ``(version, user, k)``; an incomplete one (a shard lost, or the
+        degraded tier answering) is served but never cached.
         """
         with self.tracer.span("serve.top_k"):
             self._c_requests.inc()
             self._c_topk.inc()
             user = self.check_user(user)
             k = check_integer(k, "k", minimum=1)
-            if self._degraded():
-                # Degraded answers are not model answers: never read from
-                # or write to the version-keyed ranking cache.
-                self._m_degraded_requests.inc()
-                return self._degraded_scorer.top_k(user, k)
             key = (self.version, user, k)
-            cached = self.cache.get(key)
-            if cached is not None:
-                self._c_hit.inc()
-                return cached
-            self._c_miss.inc()
+            source = self._answering(1)
+            if source.cacheable:
+                cached = self.cache.get(key)
+                if cached is not None:
+                    self._c_hit.inc()
+                    return cached
+                self._c_miss.inc()
             with self._lock:
-                ranking = _rank_row(self._candidates[user], k)
-            self.cache.put(key, ranking)
-            return ranking
+                rankings, complete = source.rank([user], [k])
+            if complete:
+                self.cache.put(key, rankings[0])
+            return rankings[0]
 
     def batch_top_k(
         self, users: Sequence[int], k: int = 10
     ) -> List[Ranking]:
-        """Top-``k`` answers for many users in one vectorized scoring pass.
-
-        Cached users are answered from the cache; the remaining rows are
-        ranked together with a single ``argpartition`` call, which is what
-        the micro-batcher relies on for throughput.
-        """
+        """Top-``k`` answers for many users: :meth:`batch_top_k_mixed`."""
         return self.batch_top_k_mixed(users, [k] * len(users))
 
     def batch_top_k_mixed(
@@ -465,12 +443,11 @@ class LinkPredictionService:
     ) -> List[Ranking]:
         """Per-request ``k`` values answered in one vectorized pass.
 
-        The heavy numpy work — row extraction, one ``argpartition`` and
-        one stable ``argsort`` at the batch's largest ``k`` — is shared
-        by every request; only the final per-row list materialization is
-        trimmed to each request's own ``k``.  This is what lets the
-        micro-batcher coalesce mixed-``k`` traffic into a single scoring
-        pass without building oversized answers.
+        The heavy work — one source ``rank`` call over every distinct
+        uncached ``(user, k)`` request — is shared by the batch; each
+        answer is trimmed to its own request's ``k``.  This is what lets
+        the micro-batcher coalesce mixed-``k`` traffic into a single
+        scoring pass without building oversized answers.
         """
         with self.tracer.span("serve.batch_top_k"):
             if len(users) != len(ks):
@@ -481,10 +458,10 @@ class LinkPredictionService:
             users = [self.check_user(u) for u in users]
             self._c_requests.inc(len(users))
             self._c_topk.inc(len(users))
-            if self._degraded():
-                self._m_degraded_requests.inc(len(users))
-                return self._degraded_scorer.batch_top_k_mixed(users, ks)
             version = self.version
+            source = self._answering(len(users))
+            if not source.cacheable:
+                return source.rank(users, ks)[0]
             answers: Dict[Tuple[int, int], Ranking] = {}
             missing: List[Tuple[int, int]] = []
             for user, k in zip(users, ks):
@@ -499,15 +476,14 @@ class LinkPredictionService:
                     missing.append(pair)
             if missing:
                 with self._lock:
-                    rows = self._candidates[[user for user, _ in missing]]
-                    rankings = _rank_rows(
-                        rows,
-                        max(k for _, k in missing),
-                        ks=[k for _, k in missing],
+                    rankings, complete = source.rank(
+                        [user for user, _ in missing],
+                        [k for _, k in missing],
                     )
                 for pair, ranking in zip(missing, rankings):
                     answers[pair] = ranking
-                    self.cache.put((version, pair[0], pair[1]), ranking)
+                    if complete:
+                        self.cache.put((version, pair[0], pair[1]), ranking)
             return [answers[(user, k)] for user, k in zip(users, ks)]
 
     # -- introspection --------------------------------------------------
@@ -536,7 +512,12 @@ class LinkPredictionService:
         return self.registry.render()
 
     def stats(self) -> Dict:
-        """A JSON-compatible snapshot of the service's state and counters."""
+        """A JSON-compatible snapshot of the service's state and counters.
+
+        The served candidate source adds its own fields (a sharded
+        artifact reports ``n_shards``, ``missing_shards`` and
+        ``shard_health``).
+        """
         manifest = self._artifact.manifest
         return {
             "version": self.version,
@@ -549,97 +530,7 @@ class LinkPredictionService:
             "last_reload_error": self._last_reload_error,
             "ready": self.ready(),
             "reload_breaker": self._reload_breaker.state,
-            "degraded": self._degraded(),
+            "degraded": self.degraded_active,
             "degraded_reason": self._degraded_reason,
+            **self._source.stats(),
         }
-
-
-class _FactoredCandidates:
-    """On-demand masked candidate rows backed by a factored estimate.
-
-    The factored analogue of the dense pre-masked candidate matrix:
-    ``self[user]`` (or ``self[list_of_users]``) computes the requested
-    score rows from the O(nk) factors — ``(u_i ∘ σ) Vᵀ`` plus the CSR
-    residual row, clipped at zero to match the factored scoring
-    convention — and writes ``-inf`` over the diagonal entry and every
-    already-known link before ranking sees them.  Nothing n×n is ever
-    resident; each query touches O(n) per requested row.
-    """
-
-    def __init__(self, estimate, adjacency=None):
-        from scipy import sparse
-
-        self.estimate = estimate
-        if adjacency is None:
-            self._known = None
-        else:
-            known = sparse.csr_matrix(adjacency)
-            # Keep only positive entries so explicit zeros never mask.
-            known = (known > 0).tocsr()
-            self._known = known
-
-    def _rows(self, users: np.ndarray) -> np.ndarray:
-        rows = self.estimate.rows(users)
-        np.maximum(rows, 0.0, out=rows)
-        for offset, user in enumerate(users):
-            if self._known is not None:
-                start, end = (
-                    self._known.indptr[user],
-                    self._known.indptr[user + 1],
-                )
-                rows[offset, self._known.indices[start:end]] = -np.inf
-            rows[offset, user] = -np.inf
-        return rows
-
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            return self._rows(np.array([int(key)]))[0]
-        return self._rows(np.asarray(key, dtype=int))
-
-    def __repr__(self) -> str:
-        return f"_FactoredCandidates(n={self.estimate.n_users})"
-
-
-def _rank_row(row: np.ndarray, k: int) -> Ranking:
-    """Rank one candidate row: finite entries only, best first."""
-    finite = np.flatnonzero(np.isfinite(row))
-    if finite.size == 0:
-        return []
-    kth = min(k, finite.size)
-    top = finite[np.argpartition(-row[finite], kth - 1)[:kth]]
-    top = top[np.argsort(-row[top], kind="stable")]
-    return [(int(j), float(row[j])) for j in top]
-
-
-def _rank_rows(
-    rows: np.ndarray, k: int, ks: Optional[Sequence[int]] = None
-) -> List[Ranking]:
-    """Rank a stack of candidate rows in two vectorized passes.
-
-    One ``argpartition`` narrows every row to its top ``k`` columns, one
-    ``axis=1`` stable argsort orders all of them together; the only
-    per-row work left is materializing the output lists.  -inf (masked)
-    entries sort last and are dropped per row.  With ``ks`` given, row
-    ``i``'s output list is trimmed to ``ks[i]`` entries (each at most
-    ``k``) — the shared numpy passes still run once at ``k``, but no row
-    materializes more tuples than its own request asked for.
-    """
-    n = rows.shape[1]
-    kth = min(k, n)
-    part = np.argpartition(-rows, kth - 1, axis=1)[:, :kth]
-    values = np.take_along_axis(rows, part, axis=1)
-    order = np.argsort(-values, axis=1, kind="stable")
-    cols = np.take_along_axis(part, order, axis=1)
-    values = np.take_along_axis(values, order, axis=1)
-    finite = np.isfinite(values)
-    limits = repeat(kth) if ks is None else ks
-    rankings: List[Ranking] = []
-    for row_cols, row_values, row_finite, limit in zip(
-        cols, values, finite, limits
-    ):
-        row_cols = row_cols[row_finite][:limit]
-        row_values = row_values[row_finite][:limit]
-        rankings.append(
-            [(int(j), float(v)) for j, v in zip(row_cols, row_values)]
-        )
-    return rankings

@@ -1,4 +1,4 @@
-"""Community-sharded solving and scatter-gather serving.
+"""Community-sharded solving and scatter-gather candidates.
 
 The sharding subsystem splits one large aligned-network estimation
 problem into per-community sub-problems that fit and serve
@@ -15,9 +15,13 @@ independently:
   through the replicated anchors so cross-shard rankings agree.
 * :mod:`repro.sharding.artifacts` — versioned sha256-verified multi-file
   artifact layout with partial-degradation loading.
-* :mod:`repro.sharding.service` — :class:`ShardedLinkPredictionService`
-  scatter-gathers per-shard candidates behind the same breaker /
-  deadline / load-shed surface as the unsharded service.
+* :mod:`repro.sharding.gather` — ``ScatterGather``, the candidate
+  source a loaded sharded artifact builds: per-shard candidates merged
+  with a deterministic tie-break, per-shard breakers and health.
+
+A sharded artifact is served by the one serving service,
+``LinkPredictionService(ShardedArtifactStore(root))``, with the same
+cache, reload, breaker, degraded tier and HTTP surface as any other.
 """
 
 from repro.sharding.artifacts import (
@@ -30,7 +34,6 @@ from repro.sharding.partition import (
     detect_communities,
     plan_shards,
 )
-from repro.sharding.service import ShardedLinkPredictionService
 from repro.sharding.stitching import (
     boundary_disagreement,
     fit_stitch_scales,
@@ -40,7 +43,6 @@ __all__ = [
     "LoadedShardedArtifact",
     "ShardPlan",
     "ShardedArtifactStore",
-    "ShardedLinkPredictionService",
     "ShardedSlamPred",
     "boundary_disagreement",
     "detect_communities",

@@ -16,21 +16,21 @@ many shard files::
     └── v0002/ …
 
 Publishes stage into a hidden directory and rename into place, so readers
-never observe a half-written version.  Loading re-hashes every file
-against the manifest; the crucial difference from the unsharded store is
-**partial degradation**: with ``strict=False`` a corrupt or missing
+never observe a half-written version (the shared
+:class:`~repro.serving.artifacts.VersionedStore` mechanics).  Loading
+re-hashes every file against the manifest; the crucial difference from
+the unsharded store is **partial degradation**: a corrupt or missing
 *shard* file is skipped and reported in
 :attr:`LoadedShardedArtifact.missing_shards` instead of failing the whole
-load — the scatter-gather service keeps answering from the surviving
-shards.  Corruption of the manifest, the plan or the graph is always
-fatal (there is no meaningful artifact without them).
+load — the scatter-gather candidate source keeps answering from the
+surviving shards.  Corruption of the manifest, the plan or the graph is
+always fatal (there is no meaningful artifact without them), and
+:meth:`ShardedArtifactStore.verify` still fails on any invalid file.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import shutil
 import time
 import zipfile
 from dataclasses import dataclass, field
@@ -39,24 +39,27 @@ from typing import Dict, List, Optional
 import numpy as np
 from scipy import sparse
 
-from repro.exceptions import ArtifactCorruptError, SerializationError
+from repro.exceptions import SerializationError
 from repro.models.persistence import (
     FrozenFactoredPredictor,
     load_predictor,
     save_predictor,
 )
 from repro.reliability.faults import fault_point
-from repro.serving.artifacts import _VERSION_DIR, file_sha256
+from repro.serving.artifacts import (
+    GRAPH_FILE,
+    VersionedStore,
+    graph_adjacency,
+    load_graph,
+)
+from repro.sharding.gather import ScatterGather
 from repro.sharding.partition import ShardPlan
 
 SHARDED_MANIFEST_SCHEMA_VERSION = 1
 """Bumped whenever the sharded manifest layout changes incompatibly."""
 
-_MANIFEST = "manifest.json"
 _PLAN_FILE = "plan.npz"
-_GRAPH_FILE = "graph.npz"
 _SHARD_FILE_FORMAT = "shard-%03d.npz"
-_STAGING_PREFIX = ".staging-"
 
 
 @dataclass
@@ -76,7 +79,7 @@ class LoadedShardedArtifact:
     estimates:
         Shard id → the shard's
         :class:`~repro.factored.estimate.FactoredEstimate`; shards that
-        failed validation under ``strict=False`` are absent.
+        failed validation are absent.
     adjacency:
         The global known-link CSR adjacency, or ``None``.
     missing_shards:
@@ -106,9 +109,17 @@ class LoadedShardedArtifact:
         """Whether any shard was dropped during loading."""
         return bool(self.missing_shards)
 
+    def candidates(self, tracer, registry):
+        """A scatter-gather candidate source over this artifact's shards."""
+        return ScatterGather(self, tracer, registry)
 
-class ShardedArtifactStore:
+
+class ShardedArtifactStore(VersionedStore):
     """Directory-per-version store for sharded factored models.
+
+    Versions, staging, manifests and checksums are the shared
+    :class:`~repro.serving.artifacts.VersionedStore` mechanics; this
+    class adds the plan/shard file set and the lenient per-shard load.
 
     Parameters
     ----------
@@ -116,39 +127,7 @@ class ShardedArtifactStore:
         The store directory; created (with parents) on first use.
     """
 
-    def __init__(self, root: str):
-        self.root = str(root)
-        os.makedirs(self.root, exist_ok=True)
-
-    # -- layout ---------------------------------------------------------
-    def path(self, version: int) -> str:
-        """Directory holding the given version."""
-        return os.path.join(self.root, f"v{int(version):04d}")
-
-    def shard_file(self, shard: int) -> str:
-        """The in-version filename of one shard's predictor archive."""
-        return _SHARD_FILE_FORMAT % int(shard)
-
-    def versions(self) -> List[int]:
-        """All published version numbers, ascending."""
-        found = []
-        for entry in os.listdir(self.root):
-            match = _VERSION_DIR.match(entry)
-            if match and os.path.isfile(
-                os.path.join(self.root, entry, _MANIFEST)
-            ):
-                found.append(int(match.group(1)))
-        return sorted(found)
-
-    def resolve_latest(self) -> int:
-        """The highest published version number (raises when empty)."""
-        versions = self.versions()
-        if not versions:
-            raise SerializationError(
-                f"sharded artifact store {self.root} holds no published "
-                "versions"
-            )
-        return versions[-1]
+    SCHEMA_VERSION = SHARDED_MANIFEST_SCHEMA_VERSION
 
     # -- publish --------------------------------------------------------
     def publish(self, model, graph=None, meta: Optional[Dict] = None) -> int:
@@ -171,21 +150,9 @@ class ShardedArtifactStore:
         plan = model.plan  # fitted check before touching disk
         estimates = model.estimates
         scales = np.asarray(model.scales, dtype=float)
-        adjacency = None
-        if graph is not None:
-            adjacency = getattr(graph, "adjacency", graph)
-            adjacency = sparse.csr_matrix(adjacency, dtype=float)
-            if adjacency.shape != (plan.n_users, plan.n_users):
-                raise SerializationError(
-                    f"graph adjacency {adjacency.shape} does not match the "
-                    f"plan's {(plan.n_users, plan.n_users)}"
-                )
-        version = (self.versions() or [0])[-1] + 1
-        staging = os.path.join(
-            self.root, f"{_STAGING_PREFIX}v{version:04d}-{os.getpid()}"
-        )
-        os.makedirs(staging)
-        try:
+        adjacency = graph_adjacency(graph, plan.n_users, "plan", dense=False)
+
+        def write(staging: str) -> Dict:
             files: Dict[str, Dict] = {}
             plan_path = os.path.join(staging, _PLAN_FILE)
             np.savez_compressed(
@@ -193,7 +160,7 @@ class ShardedArtifactStore:
             )
             files[_PLAN_FILE] = self._file_entry(plan_path)
             for s, estimate in enumerate(estimates):
-                shard_name = self.shard_file(s)
+                shard_name = _SHARD_FILE_FORMAT % s
                 shard_path = os.path.join(staging, shard_name)
                 predictor = FrozenFactoredPredictor(
                     estimate,
@@ -206,20 +173,7 @@ class ShardedArtifactStore:
                 )
                 save_predictor(predictor, shard_path)
                 files[shard_name] = self._file_entry(shard_path)
-            if adjacency is not None:
-                graph_path = os.path.join(staging, _GRAPH_FILE)
-                np.savez_compressed(
-                    graph_path,
-                    format=np.frombuffer(b"csr", dtype=np.uint8),
-                    data=adjacency.data,
-                    indices=adjacency.indices,
-                    indptr=adjacency.indptr,
-                    shape=np.asarray(adjacency.shape, dtype=np.int64),
-                )
-                files[_GRAPH_FILE] = self._file_entry(graph_path)
-            manifest = {
-                "schema_version": SHARDED_MANIFEST_SCHEMA_VERSION,
-                "version": version,
+            return {
                 "name": model.name,
                 "kind": "sharded",
                 "n_users": plan.n_users,
@@ -230,97 +184,22 @@ class ShardedArtifactStore:
                 "meta": dict(meta or {}),
                 "files": files,
             }
-            with open(
-                os.path.join(staging, _MANIFEST), "w", encoding="utf-8"
-            ) as handle:
-                json.dump(manifest, handle, indent=2, sort_keys=True)
-            final = self.path(version)
-            if os.path.exists(final):
-                raise SerializationError(
-                    f"version directory {final} already exists; "
-                    "concurrent publishers must use distinct stores"
-                )
-            os.rename(staging, final)
-        except BaseException:
-            shutil.rmtree(staging, ignore_errors=True)
-            raise
-        return version
 
-    @staticmethod
-    def _file_entry(path: str) -> Dict:
-        return {
-            "sha256": file_sha256(path),
-            "bytes": os.path.getsize(path),
-        }
+        return self._publish_staged(write, adjacency)
 
     # -- read -----------------------------------------------------------
-    def manifest(self, version: Optional[int] = None) -> Dict:
-        """The parsed, schema-checked manifest of a version (default latest)."""
-        version = self.resolve_latest() if version is None else int(version)
-        manifest_path = os.path.join(self.path(version), _MANIFEST)
-        try:
-            with open(manifest_path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except OSError as exc:
-            raise SerializationError(
-                f"version {version} not found in {self.root}: {exc}"
-            ) from exc
-        except ValueError as exc:
-            raise SerializationError(
-                f"corrupt manifest {manifest_path}: {exc}"
-            ) from exc
-        schema = manifest.get("schema_version")
-        if schema != SHARDED_MANIFEST_SCHEMA_VERSION:
-            raise SerializationError(
-                f"manifest {manifest_path} has schema version {schema}; "
-                f"this build reads version {SHARDED_MANIFEST_SCHEMA_VERSION}"
-            )
-        return manifest
+    def load(self, version: Optional[int] = None) -> LoadedShardedArtifact:
+        """Load a version (default latest), dropping invalid shards.
 
-    def _verify_file(
-        self, version: int, manifest: Dict, filename: str
-    ) -> str:
-        """Hash-check one manifest file; returns its absolute path."""
-        entry = manifest.get("files", {}).get(filename)
-        if entry is None:
-            raise ArtifactCorruptError(
-                f"artifact v{version:04d} manifest lists no file {filename}"
-            )
-        path = os.path.join(self.path(version), filename)
-        if not os.path.isfile(path):
-            raise ArtifactCorruptError(
-                f"artifact v{version:04d} is missing {filename}"
-            )
-        actual = file_sha256(path)
-        if actual != entry.get("sha256"):
-            raise ArtifactCorruptError(
-                f"artifact file {path} failed its integrity check: "
-                f"manifest says sha256 {entry.get('sha256', '?')[:12]}… "
-                f"but the file hashes to {actual[:12]}…"
-            )
-        return path
-
-    def verify(self, version: Optional[int] = None) -> Dict:
-        """Re-hash every file of a version; returns the manifest."""
-        version = self.resolve_latest() if version is None else int(version)
-        manifest = self.manifest(version)
-        for filename in manifest.get("files", {}):
-            self._verify_file(version, manifest, filename)
-        return manifest
-
-    def load(
-        self, version: Optional[int] = None, strict: bool = True
-    ) -> LoadedShardedArtifact:
-        """Load a version (default latest), optionally degrading.
-
-        With ``strict=True`` any invalid file fails the load.  With
-        ``strict=False`` invalid *shard* archives are skipped — recorded
-        in :attr:`LoadedShardedArtifact.missing_shards` — while the
+        Invalid *shard* archives are skipped — recorded in
+        :attr:`LoadedShardedArtifact.missing_shards` — while the
         manifest, the plan and the graph stay load-or-fail: serving can
         answer from a subset of shards, but not without knowing the
-        partition.  The ``sharding.shard_read`` chaos site fires once
-        per shard read, modelling exactly the single-corrupt-shard
-        degradation the reliability tests pin.
+        partition.  A version with no loadable shard at all fails.
+        :meth:`verify` is the all-or-nothing check of every file.  The
+        ``sharding.shard_read`` chaos site fires once per shard read,
+        modelling exactly the single-corrupt-shard degradation the
+        reliability tests pin.
         """
         version = self.resolve_latest() if version is None else int(version)
         manifest = self.manifest(version)
@@ -341,52 +220,33 @@ class ShardedArtifactStore:
                 f"{plan.n_shards} shards"
             )
         adjacency = None
-        if _GRAPH_FILE in manifest.get("files", {}):
-            graph_path = self._verify_file(version, manifest, _GRAPH_FILE)
-            from repro.serving.artifacts import _load_graph
-
-            adjacency = _load_graph(graph_path)
-            if not sparse.issparse(adjacency):
-                adjacency = sparse.csr_matrix(adjacency)
-            if adjacency.shape != (plan.n_users, plan.n_users):
-                raise SerializationError(
-                    f"graph adjacency {adjacency.shape} does not match the "
-                    f"plan's {(plan.n_users, plan.n_users)}"
-                )
+        if GRAPH_FILE in manifest.get("files", {}):
+            graph_path = self._verify_file(version, manifest, GRAPH_FILE)
+            adjacency = graph_adjacency(
+                load_graph(graph_path), plan.n_users, "plan", dense=False
+            )
         estimates: Dict[int, object] = {}
         missing: List[int] = []
         for s in range(plan.n_shards):
             try:
                 fault_point("sharding.shard_read")
                 shard_path = self._verify_file(
-                    version, manifest, self.shard_file(s)
+                    version, manifest, _SHARD_FILE_FORMAT % s
                 )
                 predictor = load_predictor(shard_path)
             except SerializationError:
-                if strict:
-                    raise
                 missing.append(s)
                 continue
-            if not getattr(predictor, "factored", False):
-                if strict:
-                    raise SerializationError(
-                        f"shard {s} of v{version:04d} is not a factored "
-                        "predictor archive"
-                    )
+            if (
+                not getattr(predictor, "factored", False)
+                or predictor.factored_estimate.n_users
+                != plan.members[s].size
+            ):
+                # Not a factored archive, or one covering a different
+                # member count than the plan lists for this shard.
                 missing.append(s)
                 continue
-            estimate = predictor.factored_estimate
-            if estimate.n_users != plan.members[s].size:
-                problem = SerializationError(
-                    f"shard {s} of v{version:04d} covers "
-                    f"{estimate.n_users} users but the plan lists "
-                    f"{plan.members[s].size} members"
-                )
-                if strict:
-                    raise problem
-                missing.append(s)
-                continue
-            estimates[s] = estimate
+            estimates[s] = predictor.factored_estimate
         if not estimates:
             raise SerializationError(
                 f"artifact v{version:04d} has no loadable shards"

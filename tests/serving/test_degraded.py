@@ -102,3 +102,27 @@ class TestTransitions:
         service.top_k(0, k=1)
         service.score(0, 3)
         assert "serving_degraded_requests_total 2" in service.metrics_text()
+
+
+class TestTierFollowsServedArtifact:
+    def test_graphless_reload_leaves_no_degraded_tier(self, tmp_path, adjacency):
+        # The tier is built from the served artifact only: after a reload
+        # to a larger artifact without a graph, the old 4-user graph must
+        # not answer (it would raise IndexError for user 4, and answer
+        # user 0 from a graph that is no longer served).
+        store = ArtifactStore(str(tmp_path / "grow"))
+        store.publish(FrozenPredictor(np.eye(4)), graph=adjacency)
+        service = LinkPredictionService(store, enable_degraded_tier=True)
+        scores = np.random.default_rng(4).random((5, 5))
+        store.publish(FrozenPredictor(scores))
+        assert service.reload()
+        assert not service.engage_degraded("test")
+        for _ in range(3):
+            service.reload_breaker.record_failure()
+        assert service.reload_breaker.state == "open"
+        assert not service.degraded_active
+        assert service.score(4, 0) == pytest.approx(scores[4, 0])
+        assert [v for v, _ in service.top_k(4, k=4)] == [
+            int(j) for j in np.argsort(-scores[4, :4], kind="stable")
+        ]
+        assert service.top_k(0, k=1)[0][0] == int(np.argmax(scores[0, 1:]) + 1)

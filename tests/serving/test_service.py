@@ -4,11 +4,15 @@ import os
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.exceptions import ConfigurationError, UnknownNodeError
-from repro.models.persistence import FrozenPredictor
+from repro.factored.estimate import FactoredEstimate
+from repro.models.persistence import FrozenFactoredPredictor, FrozenPredictor
 from repro.serving.artifacts import ArtifactStore
 from repro.serving.service import LinkPredictionService
+from repro.sharding.artifacts import ShardedArtifactStore
+from repro.sharding.partition import ShardPlan
 
 
 class TestTopK:
@@ -155,3 +159,88 @@ class TestStats:
     def test_accepts_store_path_string(self, store):
         service = LinkPredictionService(store.root)
         assert service.version == 1
+
+
+def _factors(rng, n, rank=3):
+    """A positive rank-``rank`` estimate (every score above zero)."""
+    return FactoredEstimate(
+        rng.random((n, rank)),
+        np.linspace(1.0, 0.5, rank),
+        rng.random((rank, n)),
+        sparse.csr_matrix((n, n)),
+    )
+
+
+class _ShardedStub:
+    """The fitted-model surface ``ShardedArtifactStore.publish`` reads."""
+
+    name = "lifecycle-sharded"
+
+    def __init__(self, rng, n):
+        half = n // 2
+        self.plan = ShardPlan(
+            shard_of=np.repeat([0, 1], [half, n - half]),
+            anchors=[np.array([half]), np.array([half - 1])],
+        )
+        self.estimates = [
+            _factors(rng, self.plan.members[s].size) for s in range(2)
+        ]
+        self.scales = np.array([1.0, 0.8])
+
+
+def _publisher(kind, root, adjacency, rng):
+    """A store of ``kind`` and a callable publishing a fresh model to it."""
+    n = adjacency.shape[0]
+    if kind == "dense-npz":
+        store = ArtifactStore(root)
+        model = lambda: FrozenPredictor(rng.random((n, n)), {"name": kind})
+    elif kind == "factored-npy":
+        store = ArtifactStore(root, layout="npy")
+        model = lambda: FrozenFactoredPredictor(
+            _factors(rng, n), {"name": kind}
+        )
+    else:
+        store = ShardedArtifactStore(root)
+        model = lambda: _ShardedStub(rng, n)
+    return store, lambda: store.publish(model(), graph=adjacency)
+
+
+@pytest.mark.parametrize("kind", ["dense-npz", "factored-npy", "sharded"])
+def test_serving_lifecycle(kind, tmp_path, adjacency, rng):
+    """One service serves every artifact kind through the same lifecycle."""
+    store, publish = _publisher(kind, str(tmp_path / kind), adjacency, rng)
+    publish()
+    service = LinkPredictionService(store, cache_size=64)
+    n = service.n_users
+    for user in range(n):
+        ranking = service.top_k(user, k=5)
+        assert 0 < len(ranking) <= 5
+        assert all(c != user and adjacency[user, c] == 0 for c, _ in ranking)
+        scores = [score for _, score in ranking]
+        assert scores == sorted(scores, reverse=True)
+        best, best_score = ranking[0]
+        assert service.score(user, best) == pytest.approx(best_score)
+    service.cache.invalidate()
+    answers = service.batch_top_k_mixed([0, 3, 0, 7], [5, 2, 1, 5])
+    assert answers[2] == answers[0][:1]
+    # Batched factored rows may differ from single rows in the last bit.
+    expected = [service.top_k(3, k=5)[:2], service.top_k(7, k=5)]
+    for got, want in zip([answers[1], answers[3]], expected):
+        assert [c for c, _ in got] == [c for c, _ in want]
+        assert [s for _, s in got] == pytest.approx([s for _, s in want])
+    assert service.reload() is False
+    publish()
+    assert service.reload() is True
+    assert service.version == 2
+    assert service.stats()["cache"]["size"] == 0
+    assert len(service.top_k(0, k=5)) == 5
+    stats = service.stats()
+    assert stats["version"] == 2
+    assert stats["n_users"] == n
+    assert stats["ready"] is True
+    assert stats["counters"]["serve.reloads"] == 1
+    assert stats["counters"]["serve.reload_noop"] == 1
+    text = service.metrics_text()
+    assert "repro_serving_artifact_version 2" in text
+    assert "repro_serving_reload_success_total 1" in text
+    assert "repro_serving_reload_noop_total 1" in text

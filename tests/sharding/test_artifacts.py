@@ -89,14 +89,14 @@ class TestIntegrity:
     def test_verify_passes_clean_store(self, store):
         store.verify()
 
-    def test_corrupt_shard_fails_strict_load(self, store):
+    def test_corrupt_shard_fails_verify(self, store):
         _corrupt(os.path.join(store.path(1), "shard-000.npz"))
         with pytest.raises(SerializationError):
-            store.load(strict=True)
+            store.verify()
 
     def test_corrupt_shard_degrades_lenient_load(self, store):
         _corrupt(os.path.join(store.path(1), "shard-000.npz"))
-        loaded = store.load(strict=False)
+        loaded = store.load()
         assert loaded.degraded
         assert loaded.missing_shards == [0]
         assert sorted(loaded.estimates) == [1]
@@ -104,20 +104,20 @@ class TestIntegrity:
     def test_corrupt_plan_is_always_fatal(self, store):
         _corrupt(os.path.join(store.path(1), "plan.npz"))
         with pytest.raises(SerializationError):
-            store.load(strict=False)
+            store.load()
 
     def test_all_shards_corrupt_fails_even_lenient(self, store):
         _corrupt(os.path.join(store.path(1), "shard-000.npz"))
         _corrupt(os.path.join(store.path(1), "shard-001.npz"))
         with pytest.raises(SerializationError):
-            store.load(strict=False)
+            store.load()
 
 
 class TestChaosSite:
     def test_injected_shard_read_fault_degrades(self, store):
         GLOBAL_INJECTOR.arm("sharding.shard_read", times=1)
         try:
-            loaded = store.load(strict=False)
+            loaded = store.load()
         finally:
             GLOBAL_INJECTOR.reset()
         assert loaded.missing_shards == [0]

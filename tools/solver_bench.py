@@ -72,11 +72,8 @@ from repro.exceptions import TruncatedSVTWarning  # noqa: E402
 from repro.models.base import TransferTask  # noqa: E402
 from repro.models.slampred import SlamPredH, SlamPredT  # noqa: E402
 from repro.networks.social import SocialGraph  # noqa: E402
-from repro.sharding import (  # noqa: E402
-    ShardedArtifactStore,
-    ShardedLinkPredictionService,
-    ShardedSlamPred,
-)
+from repro.serving.service import LinkPredictionService  # noqa: E402
+from repro.sharding import ShardedArtifactStore, ShardedSlamPred  # noqa: E402
 from repro.synth.generator import generate_aligned_pair  # noqa: E402
 
 REGRESSION_FACTOR = 2.0
@@ -305,7 +302,7 @@ def _scatter_gather_qps(model, training, k=10, n_queries=256):
     with tempfile.TemporaryDirectory() as tmp:
         store = ShardedArtifactStore(os.path.join(tmp, "store"))
         store.publish(model, graph=training)
-        service = ShardedLinkPredictionService(store)
+        service = LinkPredictionService(store)
         start = time.perf_counter()
         service.batch_top_k(users, k=k)
         cold = time.perf_counter() - start
