@@ -48,20 +48,43 @@ def align_source_to_target(
     """
     c = projected_source.n_features
     out = np.zeros((c, n_target_users, n_target_users))
-    anchored = np.array(
-        [
-            (t, s)
-            for t, s in anchors.pairs
-            if 0 <= t < n_target_users and 0 <= s < projected_source.n_users
-        ],
-        dtype=int,
-    ).reshape(-1, 2)
-    target, source = anchored[:, 0], anchored[:, 1]
+    target, source = _anchored_users(
+        anchors, n_target_users, projected_source.n_users
+    )
     # Anchors are one-to-one, so the scatter writes each target pair once.
     for out_slice, source_slice in zip(out, projected_source.values):
         out_slice[np.ix_(target, target)] = source_slice[np.ix_(source, source)]
         out_slice[target, target] = 0.0
     return FeatureTensor(out, projected_source.feature_names)
+
+
+def anchored_target_mask(
+    anchors: AnchorLinks, n_target_users: int, n_source_users: int
+) -> np.ndarray:
+    """0/1 vector over target users: 1 where :func:`align_source_to_target` maps.
+
+    The pairs a source covers on the target are the off-diagonal entries
+    of ``outer(mask, mask)`` — what aligning an all-ones source slice
+    yields, without the ``n_source × n_source`` slice.
+    """
+    mask = np.zeros(n_target_users)
+    mask[_anchored_users(anchors, n_target_users, n_source_users)[0]] = 1.0
+    return mask
+
+
+def _anchored_users(
+    anchors: AnchorLinks, n_target_users: int, n_source_users: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(target, source)`` id arrays of the anchors inside both networks."""
+    anchored = np.array(
+        [
+            (t, s)
+            for t, s in anchors.pairs
+            if 0 <= t < n_target_users and 0 <= s < n_source_users
+        ],
+        dtype=int,
+    ).reshape(-1, 2)
+    return anchored[:, 0], anchored[:, 1]
 
 
 class DomainAdapter:

@@ -122,17 +122,36 @@ def aligned_indicator(
     network are anchored to the endpoints of pair ``q`` in the second
     (Definition 4).  ``anchors`` maps first-network ids to second-network ids.
     """
+    p, q = aligned_matches(sample_a, sample_b, anchors)
+    indicator = np.zeros((sample_a.n_instances, sample_b.n_instances))
+    indicator[p, q] = 1.0
+    return indicator
+
+
+def aligned_matches(
+    sample_a: LinkInstanceSample,
+    sample_b: LinkInstanceSample,
+    anchors: AnchorLinks,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The non-zero entries ``(p, q)`` of :func:`aligned_indicator`.
+
+    Returned as two int arrays, so callers can hold ``W_A`` as an edge list
+    instead of an ``m_a × m_b`` matrix.
+    """
     image = {}
     for idx, (i, j) in enumerate(sample_a.pairs):
         a, b = anchors.map_forward(i), anchors.map_forward(j)
         if a is not None and b is not None:
             image[(min(a, b), max(a, b))] = idx
-    indicator = np.zeros((sample_a.n_instances, sample_b.n_instances))
-    for q, pair in enumerate(sample_b.pairs):
-        p = image.get(pair)
-        if p is not None:
-            indicator[p, q] = 1.0
-    return indicator
+    matches = [
+        (image[pair], q)
+        for q, pair in enumerate(sample_b.pairs)
+        if pair in image
+    ]
+    return (
+        np.array([p for p, _ in matches], dtype=np.intp),
+        np.array([q for _, q in matches], dtype=np.intp),
+    )
 
 
 def similar_indicator(
@@ -173,11 +192,7 @@ def build_joint_indicators(
     -------
     (W_A, W_S, W_D), each of shape ``(Σ m_k, Σ m_k)`` and symmetric.
     """
-    if len(samples) != len(anchors_to_target) + 1:
-        raise AlignmentError(
-            f"{len(samples)} samples need {len(samples) - 1} anchor sets, "
-            f"got {len(anchors_to_target)}"
-        )
+    _check_anchor_count(samples, anchors_to_target)
     sizes = [s.n_instances for s in samples]
     total = sum(sizes)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
@@ -203,6 +218,47 @@ def build_joint_indicators(
     np.fill_diagonal(w_s, 0.0)
     w_a = np.maximum(w_a, w_a.T)
     return w_a, w_s, w_d
+
+
+def joint_aligned_edges(
+    samples: Sequence[LinkInstanceSample],
+    anchors_to_target: Sequence[AnchorLinks],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The joint ``W_A`` of :func:`build_joint_indicators` as an edge list.
+
+    Returns ``(rows, cols)`` over the stacked instance index
+    ``0 … Σ m_k − 1``: every non-zero of the symmetric ``W_A`` exactly once,
+    in both directions.  Its size is bounded by the anchor matches, not by
+    ``(Σ m_k)²``.
+    """
+    _check_anchor_count(samples, anchors_to_target)
+    offsets = np.concatenate(([0], np.cumsum([s.n_instances for s in samples])))
+    rows, cols = [], []
+    for m in range(len(samples)):
+        for n in range(len(samples)):
+            if m == n:
+                continue
+            anchor = _anchor_between(m, n, anchors_to_target)
+            p, q = aligned_matches(samples[m], samples[n], anchor)
+            # W_A = max(W_A, W_Aᵀ): each match is an undirected edge.
+            rows.extend((p + offsets[m], q + offsets[n]))
+            cols.extend((q + offsets[n], p + offsets[m]))
+    total = int(offsets[-1])
+    if not rows:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    keys = np.unique(np.concatenate(rows) * total + np.concatenate(cols))
+    return keys // total, keys % total
+
+
+def _check_anchor_count(
+    samples: Sequence[LinkInstanceSample],
+    anchors_to_target: Sequence[AnchorLinks],
+) -> None:
+    if len(samples) != len(anchors_to_target) + 1:
+        raise AlignmentError(
+            f"{len(samples)} samples need {len(samples) - 1} anchor sets, "
+            f"got {len(anchors_to_target)}"
+        )
 
 
 def _anchor_between(

@@ -10,6 +10,15 @@ The projection matrix ``F`` stacks the ``c`` generalized eigenvectors with
 the smallest non-zero eigenvalues; splitting ``F`` by network blocks yields
 the per-network maps ``F^t, F^1, …, F^K``.
 
+Both sides are only ``(Σ d_k) × (Σ d_k)``, and :func:`quadratic_forms`
+builds them in closed form in O(Σ m_k · (Σ d_k)²) without any
+``(Σ m_k) × (Σ m_k)`` indicator or Laplacian: ``Z L Zᵀ = Z diag(deg) Zᵀ −
+Z W Zᵀ``, where ``W_S`` and ``W_D`` are sums of per-label-class outer
+products and ``W_A`` is a sparse edge list of anchor matches.
+:func:`~repro.adaptation.indicators.build_joint_indicators` and
+:func:`~repro.adaptation.laplacian.laplacian_matrix` remain the dense
+definitions the closed form is tested against.
+
 Both sides are made numerically symmetric positive semi-definite before the
 solve, and a small ridge is added to the right-hand side (``Z L_D Zᵀ`` can be
 rank-deficient when the sampled instances don't span the feature space).
@@ -18,14 +27,13 @@ rank-deficient when the sampled instances don't span the feature space).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
 
 from repro.exceptions import AlignmentError
-from repro.adaptation.indicators import LinkInstanceSample, build_joint_indicators
-from repro.adaptation.laplacian import laplacian_matrix
+from repro.adaptation.indicators import LinkInstanceSample, joint_aligned_edges
 from repro.networks.aligned import AnchorLinks
 from repro.utils.validation import check_integer, check_non_negative
 
@@ -87,13 +95,7 @@ def solve_projections(
             f"latent_dimension ({latent_dimension}) exceeds the stacked "
             f"feature dimension ({total_dim})"
         )
-    w_a, w_s, w_d = build_joint_indicators(samples, anchors_to_target)
-    l_a = laplacian_matrix(w_a)
-    l_s = laplacian_matrix(w_s)
-    l_d = laplacian_matrix(w_d)
-    z = _block_diagonal_features(samples)
-    left = z @ (mu * l_a + l_s) @ z.T
-    right = z @ l_d @ z.T
+    left, right = quadratic_forms(samples, anchors_to_target, mu)
     left = (left + left.T) / 2.0
     right = (right + right.T) / 2.0 + ridge * np.eye(total_dim)
     eigenvalues, eigenvectors = scipy.linalg.eigh(left, right)
@@ -113,6 +115,48 @@ def solve_projections(
         projections.append(chosen[offset:offset + dim, :].copy())
         offset += dim
     return ProjectionResult(projections=projections, eigenvalues=eigvals)
+
+
+def quadratic_forms(
+    samples: Sequence[LinkInstanceSample],
+    anchors_to_target: Sequence[AnchorLinks],
+    mu: float = 1.0,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The pencil ``(Z(μL_A + L_S)Zᵀ, Z L_D Zᵀ)`` of Theorem 1, in closed form.
+
+    With ``1_c`` the indicator of the instances whose label is ``c``,
+    ``n_u`` the size of instance ``u``'s label class and ``M = Σ m_k``:
+
+    * ``W_S = Σ_c 1_c 1_cᵀ − I``, so ``Z L_S Zᵀ = Z diag(n) Zᵀ − Σ_c
+      (Z1_c)(Z1_c)ᵀ``;
+    * ``W_D = 11ᵀ − Σ_c 1_c 1_cᵀ``, so ``Z L_D Zᵀ = Z diag(M − n) Zᵀ −
+      (Z1)(Z1)ᵀ + Σ_c (Z1_c)(Z1_c)ᵀ``;
+    * ``W_A`` is the edge list ``(r, s)`` of
+      :func:`~repro.adaptation.indicators.joint_aligned_edges`, so ``Z L_A
+      Zᵀ = Z diag(deg_A) Zᵀ − Z[:, r] Z[:, s]ᵀ``.
+
+    Equal to the dense ``Z L Zᵀ`` products of the indicator Laplacians up to
+    rounding; nothing quadratic in ``M`` is allocated.
+    """
+    rows, cols = joint_aligned_edges(samples, anchors_to_target)
+    z = _block_diagonal_features(samples)
+    n_total = z.shape[1]
+    labels = np.concatenate([s.labels for s in samples])
+    classes, class_of, class_sizes = np.unique(
+        labels, return_inverse=True, return_counts=True
+    )
+    same_class = class_sizes[class_of].astype(float)
+    class_sums = z @ (class_of[:, None] == np.arange(classes.size))  # Z 1_c
+    within = class_sums @ class_sums.T
+    total = z.sum(axis=1)
+    degree_a = np.bincount(rows, minlength=n_total)
+    left = (
+        (z * (mu * degree_a + same_class)) @ z.T
+        - mu * (z[:, rows] @ z[:, cols].T)
+        - within
+    )
+    right = (z * (n_total - same_class)) @ z.T - np.outer(total, total) + within
+    return left, right
 
 
 def _block_diagonal_features(

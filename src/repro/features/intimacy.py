@@ -8,24 +8,27 @@ training view so held-out test links never leak into the features.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import FeatureError
-from repro.features.metapath import METAPATHS, metapath_count_matrix
-from repro.features.spatial import checkin_similarity
+from repro.features.metapath import (
+    METAPATHS,
+    metapath_counts_from_profiles,
+    profile_matrix,
+)
+from repro.features.spatial import cosine_similarity_matrix
 from repro.features.structural import (
     adamic_adar_matrix,
-    common_neighbors_matrix,
-    jaccard_matrix,
-    katz_matrix,
+    jaccard_from_square,
+    katz_from_square,
     preferential_attachment_matrix,
     resource_allocation_matrix,
 )
-from repro.features.temporal import temporal_similarity
 from repro.features.tensor import FeatureTensor
-from repro.features.textual import word_usage_similarity
+from repro.features.textual import word_similarity_from_counts
+from repro.utils.matrices import zero_diagonal
 from repro.networks.heterogeneous import HeterogeneousNetwork
 from repro.networks.social import SocialGraph
 
@@ -46,6 +49,19 @@ METAPATH_FEATURES = tuple(f"metapath_{mp}" for mp in METAPATHS)
 
 DEFAULT_FEATURES = STRUCTURAL_FEATURES + ATTRIBUTE_FEATURES + METAPATH_FEATURES
 """All features the extractor can produce, in canonical order."""
+
+# The intermediate each feature shares with others: ``A @ A`` for the
+# path-count features, and the profile matrix of a meta path for the cosine
+# slice and the meta-path slice built from the same profiles.
+_SHARED_INTERMEDIATE = {
+    "common_neighbors": "square",
+    "jaccard": "square",
+    "katz": "square",
+    "checkin_similarity": "UPLPU",
+    "temporal_similarity": "UPTPU",
+    "word_similarity": "UPWPU",
+    **{f"metapath_{mp}": mp for mp in METAPATHS},
+}
 
 
 class IntimacyFeatureExtractor:
@@ -121,12 +137,22 @@ class IntimacyFeatureExtractor:
                 f"training graph has {training_graph.n_users} users but the "
                 f"network has {network.n_users}"
             )
-        adjacency = training_graph.adjacency
-        matrices: List[np.ndarray] = []
-        for name in self.features:
-            matrices.append(self._compute(name, network, adjacency))
-        tensor = FeatureTensor.from_matrices(matrices, list(self.features))
-        return tensor.normalized() if self.normalize else tensor
+        adjacency = np.asarray(training_graph.adjacency, dtype=float)
+        n = network.n_users
+        # One preallocated (d, n, n) array, filled and normalized in place:
+        # no per-slice list, stacked copy or normalized copy.
+        values = np.empty((len(self.features), n, n))
+        shared = {}
+        keys = [_SHARED_INTERMEDIATE.get(name) for name in self.features]
+        for k, name in enumerate(self.features):
+            values[k] = self._compute(name, network, adjacency, shared)
+            if keys[k] not in keys[k + 1:]:
+                shared.pop(keys[k], None)  # no later slice reads it
+            if self.normalize:
+                peak = max(values[k].max(), -values[k].min())
+                if peak > 0:
+                    values[k] /= peak
+        return FeatureTensor(values, list(self.features))
 
     def extract_many(
         self,
@@ -167,11 +193,23 @@ class IntimacyFeatureExtractor:
         name: str,
         network: HeterogeneousNetwork,
         adjacency: np.ndarray,
+        shared: dict,
     ) -> np.ndarray:
+        """Slice ``name``; ``shared`` caches intermediates across slices."""
+
+        def intermediate():
+            key = _SHARED_INTERMEDIATE[name]
+            if key not in shared:
+                if key == "square":
+                    shared[key] = adjacency @ adjacency
+                else:
+                    shared[key] = profile_matrix(network, key)
+            return shared[key]
+
         if name == "common_neighbors":
-            return common_neighbors_matrix(adjacency)
+            return zero_diagonal(intermediate())
         if name == "jaccard":
-            return jaccard_matrix(adjacency)
+            return jaccard_from_square(adjacency, intermediate())
         if name == "adamic_adar":
             return adamic_adar_matrix(adjacency)
         if name == "resource_allocation":
@@ -179,13 +217,14 @@ class IntimacyFeatureExtractor:
         if name == "preferential_attachment":
             return preferential_attachment_matrix(adjacency)
         if name == "katz":
-            return katz_matrix(adjacency, self.katz_beta, self.katz_max_length)
-        if name == "checkin_similarity":
-            return checkin_similarity(network)
-        if name == "temporal_similarity":
-            return temporal_similarity(network)
+            square = intermediate() if self.katz_max_length > 1 else None
+            return katz_from_square(
+                adjacency, square, self.katz_beta, self.katz_max_length
+            )
+        if name in ("checkin_similarity", "temporal_similarity"):
+            return cosine_similarity_matrix(intermediate())
         if name == "word_similarity":
-            return word_usage_similarity(network)
+            return word_similarity_from_counts(intermediate())
         if name.startswith("metapath_"):
-            return metapath_count_matrix(network, name[len("metapath_"):])
+            return metapath_counts_from_profiles(intermediate())
         raise FeatureError(f"unknown feature {name!r}")

@@ -54,13 +54,22 @@ def metapath_count_matrix(
     -------
     ``n×n`` symmetric count matrix with zero diagonal.
     """
+    return metapath_counts_from_profiles(profile_matrix(network, metapath))
+
+
+def profile_matrix(network: HeterogeneousNetwork, metapath: str) -> np.ndarray:
+    """The user-by-``x`` incidence counts ``M_x`` behind one meta path."""
     try:
         builder = _PROFILE_BUILDERS[metapath]
     except KeyError:
         raise FeatureError(
             f"unknown metapath {metapath!r}; supported: {sorted(METAPATHS)}"
         ) from None
-    profiles = builder(network)
+    return builder(network)
+
+
+def metapath_counts_from_profiles(profiles: np.ndarray) -> np.ndarray:
+    """:func:`metapath_count_matrix` given the :func:`profile_matrix`."""
     if profiles.shape[1] == 0:
-        return np.zeros((network.n_users, network.n_users))
+        return np.zeros((profiles.shape[0], profiles.shape[0]))
     return zero_diagonal(profiles @ profiles.T)

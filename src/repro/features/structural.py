@@ -33,11 +33,18 @@ def common_neighbors_matrix(adjacency: np.ndarray) -> np.ndarray:
 def jaccard_matrix(adjacency: np.ndarray) -> np.ndarray:
     """Jaccard coefficient ``|Γ(i)∩Γ(j)| / |Γ(i)∪Γ(j)|`` (0 when both empty)."""
     adjacency = _validated(adjacency)
-    intersection = adjacency @ adjacency
+    return jaccard_from_square(adjacency, adjacency @ adjacency)
+
+
+def jaccard_from_square(adjacency: np.ndarray, square: np.ndarray) -> np.ndarray:
+    """:func:`jaccard_matrix` given the precomputed ``square = A @ A``.
+
+    ``(A @ A)_ij`` is the intersection ``|Γ(i)∩Γ(j)|``.
+    """
     degrees = adjacency.sum(axis=1)
-    union = degrees[:, None] + degrees[None, :] - intersection
+    union = degrees[:, None] + degrees[None, :] - square
     with np.errstate(divide="ignore", invalid="ignore"):
-        scores = np.where(union > 0, intersection / union, 0.0)
+        scores = np.where(union > 0, square / union, 0.0)
     return zero_diagonal(scores)
 
 
@@ -87,13 +94,31 @@ def katz_matrix(
         Longest path length counted (the truncation ``L``).
     """
     adjacency = _validated(adjacency)
+    square = adjacency @ adjacency if max_length > 1 else None
+    return katz_from_square(adjacency, square, beta, max_length)
+
+
+def katz_from_square(
+    adjacency: np.ndarray,
+    square,
+    beta: float = 0.05,
+    max_length: int = 4,
+) -> np.ndarray:
+    """:func:`katz_matrix` given the precomputed ``square = A @ A``.
+
+    ``square`` is only read when ``max_length > 1`` (pass ``None`` otherwise).
+    """
     beta = check_in_range(beta, "beta", 0.0, 1.0, inclusive=False)
     max_length = check_integer(max_length, "max_length", minimum=1)
-    power = np.eye(adjacency.shape[0])
     scores = np.zeros_like(adjacency)
     damping = 1.0
-    for _ in range(max_length):
-        power = power @ adjacency
+    for length in range(1, max_length + 1):
+        if length == 1:
+            power = adjacency
+        elif length == 2:
+            power = square
+        else:
+            power = power @ adjacency
         damping *= beta
         scores = scores + damping * power
     return zero_diagonal(scores)

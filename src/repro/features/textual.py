@@ -43,9 +43,15 @@ def word_usage_similarity(
     network: HeterogeneousNetwork, use_idf: bool = True
 ) -> np.ndarray:
     """Cosine similarity of (optionally IDF-weighted) word profiles."""
-    counts = user_word_counts(network)
+    return word_similarity_from_counts(user_word_counts(network), use_idf)
+
+
+def word_similarity_from_counts(
+    counts: np.ndarray, use_idf: bool = True
+) -> np.ndarray:
+    """:func:`word_usage_similarity` given the :func:`user_word_counts`."""
     if counts.shape[1] == 0:
-        return np.zeros((network.n_users, network.n_users))
+        return np.zeros((counts.shape[0], counts.shape[0]))
     if use_idf:
         counts = counts * idf_weights(counts)[None, :]
     return cosine_similarity_matrix(counts)

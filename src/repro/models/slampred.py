@@ -43,7 +43,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.adaptation.adapter import DomainAdapter, align_source_to_target
+from repro.adaptation.adapter import (
+    DomainAdapter,
+    align_source_to_target,
+    anchored_target_mask,
+)
 from repro.features.intimacy import IntimacyFeatureExtractor
 from repro.features.tensor import FeatureTensor
 from repro.models.base import MatrixPredictor, TransferTask
@@ -617,15 +621,24 @@ class SlamPred(MatrixPredictor):
             target_tensor = self.extractor.extract(
                 task.target, task.training_graph
             )
-        with tracer.span("calibrate:target"):
-            target_intimacy = self._weighted_intimacy(
-                target_tensor, task.training_graph, task.random_state
-            )
         transfer_active = (
             self.use_sources
             and task.n_sources > 0
             and any(len(anchor) > 0 for anchor in task.anchors)
         )
+        with tracer.span("calibrate:target"):
+            if transfer_active and self.learn_alphas:
+                # The joint readout below supersedes the target-only
+                # calibration, so its n² evaluation is skipped; its negative
+                # draw is kept so a shared Generator in task.random_state
+                # sees the same stream.
+                if task.training_graph.n_links:
+                    _calibration_pairs(task.training_graph, task.random_state)
+                target_intimacy = None
+            else:
+                target_intimacy = self._weighted_intimacy(
+                    target_tensor, task.training_graph, task.random_state
+                )
         if not transfer_active:
             # Unaligned (anchor ratio 0) or target-only variant: weighted
             # target features, no projection — SLAMPRED degenerates to
@@ -653,6 +666,26 @@ class SlamPred(MatrixPredictor):
             )
         n_target = target_tensor.n_users
         alphas = self._source_alphas(task.n_sources)
+        coverage = [
+            anchored_target_mask(anchors, n_target, tensor.n_users)
+            for tensor, anchors in zip(source_tensors, task.anchors)
+        ]
+        if not self.learn_alphas:
+            # Fixed-α combination: the target intimacy plus each source's
+            # centered affinity, exactly the paper's weighted-sum form.
+            gradient = self.alpha_target * target_intimacy
+            for k, (alpha, tensor, anchors, mask) in enumerate(
+                zip(alphas, source_tensors, task.anchors, coverage), start=1
+            ):
+                affinity = align_source_to_target(
+                    FeatureTensor(self._adapter.affinity_matrix(tensor, k)[None]),
+                    anchors,
+                    n_target,
+                ).values[0]
+                covered = np.outer(mask, mask)
+                np.fill_diagonal(covered, 0.0)
+                gradient += alpha * (affinity - 0.5 * covered)
+            return gradient
         # Per-pair blocks: the target's raw intimacy features and latent
         # vectors, plus each source's latent vectors re-indexed through the
         # anchors (zeros where a pair is unanchored) and per-source
@@ -665,17 +698,15 @@ class SlamPred(MatrixPredictor):
         ]
         block_alphas = [self.alpha_target, self.alpha_target]
 
-        def _transfer(job):
-            k, tensor, anchors = job
-            latent_source = self._adapter.transform(tensor, k)
-            n_source = tensor.n_users
-            coverage = np.ones((1, n_source, n_source))
+        def _transfer(k):
+            # The raw source tensor is spent once projected: drop it before
+            # its latent image is aligned, so the two are never held with
+            # the aligned copy.
+            tensor, source_tensors[k - 1] = source_tensors[k - 1], None
+            latent = self._adapter.transform(tensor, k)
+            del tensor
             return align_source_to_target(
-                FeatureTensor(
-                    np.concatenate([latent_source.values, coverage])
-                ),
-                anchors,
-                n_target,
+                latent, task.anchors[k - 1], n_target
             ).values
 
         # Per-source transfer touches only that source's matrices and the
@@ -683,43 +714,16 @@ class SlamPred(MatrixPredictor):
         # preserved, keeping the block layout (and numerics) identical to
         # the sequential loop.
         transfers, transfer_seconds = parallel_map(
-            _transfer,
-            [
-                (k, tensor, anchors)
-                for k, (tensor, anchors) in enumerate(
-                    zip(source_tensors, task.anchors), start=1
-                )
-            ],
-            max_workers=self.n_jobs,
+            _transfer, range(1, task.n_sources + 1), max_workers=self.n_jobs
         )
         for seconds in transfer_seconds:
             tracer.metric("intimacy.transfer_seconds", seconds)
-        coverage_blocks = []
-        for alpha, transferred in zip(alphas, transfers):
-            latent_blocks.append(transferred[:-1])
-            block_alphas.append(alpha)
-            # Coverage carries the source's α too: a zero-weighted source
-            # should inform the readout through neither its features nor
-            # its coverage pattern.
-            coverage_blocks.append(alpha * transferred[-1:])
-        if not self.learn_alphas:
-            # Fixed-α combination: the target intimacy plus each source's
-            # centered affinity, exactly the paper's weighted-sum form.
-            gradient = self.alpha_target * target_intimacy
-            for k, (alpha, tensor, anchors) in enumerate(
-                zip(alphas, source_tensors, task.anchors), start=1
-            ):
-                affinity = self._adapter.affinity_matrix(tensor, k)
-                n_source = tensor.n_users
-                coverage = np.ones((n_source, n_source))  # dense-ok: source-side alignment
-                np.fill_diagonal(coverage, 0.0)
-                transferred = align_source_to_target(
-                    FeatureTensor(np.stack([affinity, coverage])),
-                    anchors,
-                    n_target,
-                ).values
-                gradient += alpha * (transferred[0] - 0.5 * transferred[1])
-            return gradient
+        latent_blocks.extend(transfers)
+        block_alphas.extend(alphas)
+        # Coverage carries the source's α too: a zero-weighted source
+        # should inform the readout through neither its features nor its
+        # coverage pattern.
+        coverage_blocks = list(zip(alphas, coverage))
         return self._joint_latent_intimacy(
             latent_blocks,
             block_alphas,
@@ -735,16 +739,15 @@ class SlamPred(MatrixPredictor):
 
         Each pair is described by the concatenation of every network's
         latent vector (source blocks anchor-mapped, zero when unanchored)
-        plus per-source coverage flags.  Latent dimensions are scaled to
-        unit variance and then multiplied by their network's α — with the
-        non-standardized logistic readout and its L2 penalty, α acts as a
-        prior importance, so α = 0 removes a network exactly while the
-        Figure 4/5 sweeps remain meaningful.  Readout logits are
-        quantile-transformed into [0, 1].
+        plus per-source coverage flags; ``coverage_blocks`` holds one
+        ``(α, mask)`` per source, see :func:`_joint_logits`.  Latent
+        dimensions are scaled to unit variance and then multiplied by their
+        network's α — with the non-standardized logistic readout and its L2
+        penalty, α acts as a prior importance, so α = 0 removes a network
+        exactly while the Figure 4/5 sweeps remain meaningful.  Readout
+        logits are quantile-transformed into [0, 1].
         """
         from scipy.stats import rankdata
-
-        from repro.models.classifiers import LogisticRegression
 
         n = latent_blocks[0].shape[1]
         if not graph.n_links:
@@ -757,22 +760,14 @@ class SlamPred(MatrixPredictor):
             from scipy import sparse
 
             return sparse.csr_matrix((n, n))
-        scaled = []
-        for alpha, block in zip(block_alphas, latent_blocks):
-            flat = block.reshape(block.shape[0], -1)
-            std = flat.std(axis=1)
-            std = np.where(std > 0, std, 1.0)
-            scaled.append(alpha * block / std[:, None, None])
-        features = np.concatenate(scaled + list(coverage_blocks))  # (D, n, n)
         rows, cols, labels = _calibration_pairs(graph, random_state)
-        train_features = features[:, rows, cols].T
-        model = LogisticRegression(l2=1.0, standardize=False)
-        model.fit(train_features, labels)
-        flat = features.reshape(features.shape[0], -1).T
-        logits = model.decision_function(flat).reshape(n, n)
-        logits = (logits + logits.T) / 2.0
+        logits = _joint_logits(
+            latent_blocks, block_alphas, coverage_blocks, rows, cols, labels
+        )
         gradient = rankdata(logits.ravel()).reshape(n, n)
-        gradient = (gradient - 1.0) / max(1, gradient.size - 1)
+        del logits
+        gradient -= 1.0
+        gradient /= max(1, gradient.size - 1)
         np.fill_diagonal(gradient, 0.0)
         return gradient
 
@@ -861,6 +856,51 @@ def _calibration_pairs(graph, random_state):
         [np.ones(link_rows.size), np.zeros(negative_rows.size)]
     )
     return rows, cols, labels
+
+
+def _joint_logits(
+    latent_blocks, block_alphas, coverage_blocks, rows, cols, labels
+) -> np.ndarray:
+    """Symmetrized logits of the joint readout on every pair (``n×n``).
+
+    The readout is a logistic model over ``D`` per-pair features: every
+    slice ``x`` of ``latent_blocks[b]`` scaled to ``α_b · x / std(x)``,
+    then one coverage feature ``α · mask_i · mask_j`` (``i ≠ j``) per
+    ``(α, mask)`` of ``coverage_blocks``.  It is fitted on the calibration
+    pairs ``(rows, cols)`` only, and because it is linear its logits are
+    accumulated slice by slice into one ``n×n`` buffer: no scaled copy of a
+    block and no ``(D, n, n)`` feature cube is formed.  Pairs with equal
+    feature vectors get bitwise equal logits.
+    """
+    from repro.models.classifiers import LogisticRegression
+
+    n = latent_blocks[0].shape[1]
+    scales = []  # α / std per latent slice, in feature order
+    columns = []  # the calibration features, one row per feature
+    for alpha, block in zip(block_alphas, latent_blocks):
+        for matrix in block:
+            std = matrix.std()
+            std = std if std > 0 else 1.0
+            scales.append(alpha / std)
+            columns.append(alpha * matrix[rows, cols] / std)
+    for alpha, mask in coverage_blocks:
+        columns.append(alpha * (mask[rows] * mask[cols] * (rows != cols)))
+    model = LogisticRegression(l2=1.0, standardize=False)
+    model.fit(np.array(columns).T, labels)
+    logits = np.full((n, n), model.intercept)  # dense-ok: the n×n readout
+    scratch = np.empty((n, n))  # dense-ok: one slice of the n×n readout
+    slices = (matrix for block in latent_blocks for matrix in block)
+    for matrix, weight, scale in zip(slices, model.weights, scales):
+        np.multiply(matrix, weight * scale, out=scratch)
+        logits += scratch
+    coverage_weights = model.weights[len(scales):]
+    for (alpha, mask), weight in zip(coverage_blocks, coverage_weights):
+        np.multiply.outer(weight * alpha * mask, mask, out=scratch)
+        np.fill_diagonal(scratch, 0.0)
+        logits += scratch
+    np.add(logits, logits.T, out=scratch)
+    scratch /= 2.0
+    return scratch
 
 
 def _full_graph(network) -> "SocialGraph":

@@ -168,6 +168,10 @@ def main() -> int:
                 f"(breaker {service.reload_breaker.state})"
             )
 
+            # The probes below check the service's own state, not fault
+            # handling (step 2 covered that), so an injected 500 there
+            # would fail the smoke on the fault RNG alone.
+            GLOBAL_INJECTOR.disarm("serving.request")
             status, payload = _get(base, "/readyz")
             if status not in (200, 503):
                 raise SystemExit(f"/readyz answered {status}")
