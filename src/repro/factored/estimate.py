@@ -288,19 +288,6 @@ class FactoredEstimate:
             value += float(np.sum(self.residual.data**2))
         return value
 
-    def lowrank_singular_values(self) -> np.ndarray:
-        """Singular values of the low-rank part, descending (O(nk²)).
-
-        Exact for arbitrary (non-orthonormal) factors: QR both factor
-        blocks and take the SVD of the small core.
-        """
-        if self.rank == 0:
-            return np.zeros(0)
-        q_left, r_left = np.linalg.qr(self.u * self.s)
-        q_right, r_right = np.linalg.qr(self.vt.T)
-        del q_left, q_right
-        return np.linalg.svd(r_left @ r_right.T, compute_uv=False)
-
     def delta_frobenius(self, other: "FactoredEstimate") -> float:
         """``‖self − other‖_F`` via Gram expansions — no dense temporary.
 

@@ -144,18 +144,6 @@ class FeatureTensor:
             names = [f"latent{k}" for k in range(projection.shape[1])]
         return FeatureTensor(projected, names)
 
-    @classmethod
-    def from_matrices(
-        cls, matrices: Sequence[np.ndarray], names: Sequence[str] = None
-    ) -> "FeatureTensor":
-        """Stack ``n×n`` matrices into a tensor."""
-        if len(matrices) == 0:
-            raise FeatureError("cannot build a tensor from zero matrices")
-        shapes = {np.asarray(m).shape for m in matrices}
-        if len(shapes) != 1:
-            raise FeatureError(f"inconsistent slice shapes: {sorted(shapes)}")
-        return cls(np.stack([np.asarray(m, dtype=float) for m in matrices]), names)
-
     def __repr__(self) -> str:
         return (
             f"FeatureTensor(d={self.n_features}, n={self.n_users}, "

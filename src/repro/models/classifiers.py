@@ -110,6 +110,22 @@ class LogisticRegression:
             features = (features - self._mean) / self._scale
         return features @ self.weights + self.intercept
 
+    def raw_coefficients(self):
+        """``(weights, intercept)`` acting on unstandardized features.
+
+        Standardization is affine, so ``decision_function(x)`` equals
+        ``x @ weights + intercept`` with these (up to rounding): callers
+        can evaluate the model one feature column at a time, without the
+        centred and scaled copy of the features ``decision_function``
+        makes.
+        """
+        if self.weights is None:
+            raise NotFittedError("LogisticRegression has not been fitted")
+        if not (self.standardize and self._mean is not None):
+            return self.weights.copy(), self.intercept
+        weights = self.weights / self._scale
+        return weights, self.intercept - float(weights @ self._mean)
+
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """P(label = 1) per sample."""
         return _sigmoid(self.decision_function(features))

@@ -802,15 +802,13 @@ class SlamPred(MatrixPredictor):
         rows, cols, labels = _calibration_pairs(graph, random_state)
         model = LogisticRegression(l2=1.0)
         model.fit(tensor.pair_rows(rows, cols), labels)
-        flat = tensor.values.reshape(tensor.n_features, -1).T  # (n², d)
         # Quantile-transformed logits: monotone in the propensity, uniformly
         # spread over [0, 1].  Min-max or sigmoid scaling would let outliers
         # (or saturation plateaus) compress the bulk of the pairs into a
         # sliver, and the trace-norm coupling would then drown the ranking.
         from scipy.stats import rankdata
 
-        logits = model.decision_function(flat).reshape(n, n)
-        logits = (logits + logits.T) / 2.0
+        logits = _slice_logits(model, tensor.values)
         intimacy = rankdata(logits.ravel()).reshape(n, n)
         intimacy = (intimacy - 1.0) / max(1, intimacy.size - 1)
         np.fill_diagonal(intimacy, 0.0)
@@ -897,6 +895,27 @@ def _joint_logits(
     for (alpha, mask), weight in zip(coverage_blocks, coverage_weights):
         np.multiply.outer(weight * alpha * mask, mask, out=scratch)
         np.fill_diagonal(scratch, 0.0)
+        logits += scratch
+    np.add(logits, logits.T, out=scratch)
+    scratch /= 2.0
+    return scratch
+
+
+def _slice_logits(model, values) -> np.ndarray:
+    """Symmetrized logits of a fitted ``model`` on every pair (``n×n``).
+
+    ``values`` is a ``(d, n, n)`` feature cube.  The model's
+    standardization is folded into its weights
+    (:meth:`~repro.models.classifiers.LogisticRegression.raw_coefficients`)
+    and the logits are accumulated slice by slice into one ``n×n``
+    buffer, so no standardized ``(n², d)`` copy of the cube is formed.
+    """
+    n = values.shape[1]
+    weights, intercept = model.raw_coefficients()
+    logits = np.full((n, n), intercept)  # dense-ok: the n×n readout
+    scratch = np.empty((n, n))  # dense-ok: one slice of the n×n readout
+    for matrix, weight in zip(values, weights):
+        np.multiply(matrix, weight, out=scratch)
         logits += scratch
     np.add(logits, logits.T, out=scratch)
     scratch /= 2.0

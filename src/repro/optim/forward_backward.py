@@ -404,10 +404,13 @@ class FactoredForwardBackwardSolver:
     ranking-based metrics (AUC, top-k) over off-support pairs are
     unaffected up to the tolerance the parity suite pins down.
 
-    Convergence bookkeeping uses Frobenius-norm surrogates computed from
-    Gram matrices (``‖S_t − S_{t−1}‖_F``), a lower bound on the entrywise
-    ℓ1 norm the dense solver tracks; iteration budgets are shared with the
-    dense configuration.
+    Convergence bookkeeping uses Frobenius-norm surrogates
+    (``‖S_t − S_{t−1}‖_F``), a lower bound on the entrywise ℓ1 norm the
+    dense solver tracks; iteration budgets are shared with the dense
+    configuration.  Their low-rank terms come from k×k Gram matrices and
+    their sparse terms from the low-rank values and residual data on Ω,
+    kept from the step that computed them (DESIGN.md §13): one O(nnz·k)
+    gather per iteration in all.
     """
 
     def __init__(
@@ -482,6 +485,11 @@ class FactoredForwardBackwardSolver:
         self._workspace = ws
         tracing = is_tracing(tracer)
         current = initial
+        # The previous iterate on Ω: its low-rank values (copied out of the
+        # reused ``ws.values``), its residual data and its ‖L‖_F².
+        previous_values = ws.lowrank_entries(initial).copy()
+        previous_correction = ws.residual_values(initial.residual)
+        previous_lowrank_sq = initial.lowrank_frobenius_sq()
         step = self.step_size
         halvings = 0
         for _ in range(self.criterion.max_iterations):
@@ -513,15 +521,33 @@ class FactoredForwardBackwardSolver:
                     f"{_DIVERGENCE_LIMIT:.0e}); reduce step_size "
                     f"(currently {step}) below 2/L of the smooth term"
                 )
-            update_norm = current.delta_frobenius(previous)
+            # ‖S_t − S_{t−1}‖² = ‖ΔL‖² + 2⟨ΔL, ΔR⟩ + ‖ΔR‖², where ΔR lives on
+            # Ω and ⟨ΔL, ΔR⟩ reads ΔL's values there; likewise for ‖S_t‖².
+            lowrank_sq = lowrank.lowrank_frobenius_sq()
+            delta_values = values - previous_values
+            delta_correction = correction - previous_correction
+            update_sq = (
+                lowrank_sq
+                + previous_lowrank_sq
+                - 2.0 * lowrank.lowrank_inner(previous)
+                + float(delta_correction @ delta_correction)
+                + 2.0 * float(delta_values @ delta_correction)
+            )
+            update_norm = float(np.sqrt(max(update_sq, 0.0)))
             if tracing:
                 tracer.count("fb.iterations")
             if history is not None:
-                history.record_norms(
-                    float(np.sqrt(current.frobenius_sq())),
-                    update_norm,
-                    None,
+                norm_sq = (
+                    lowrank_sq
+                    + 2.0 * float(values @ correction)
+                    + float(correction @ correction)
                 )
+                history.record_norms(
+                    float(np.sqrt(max(norm_sq, 0.0))), update_norm, None
+                )
+            np.copyto(previous_values, values)
+            previous_correction = correction
+            previous_lowrank_sq = lowrank_sq
             if self.criterion.satisfied_value(update_norm):
                 break
         return current

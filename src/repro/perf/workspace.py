@@ -156,18 +156,32 @@ class FactoredWorkspace:
         """The low-rank part's values over Ω, written into ``values``.
 
         O(nnz·k) work; the gather temporaries are transient, the result
-        buffer is reused across iterations.
+        buffer is reused across iterations — a caller that still needs
+        these values after the next call must copy them out.  Both sides
+        are gathered as whole rows with ``np.take`` (of ``u·diag(s)`` and
+        of a contiguous ``vtᵀ``), which fancy indexing and a column
+        gather from the row-major ``vt`` do more slowly.
         """
         if estimate.rank == 0:
             self.values.fill(0.0)
             return self.values
         np.einsum(
             "ik,ik->i",
-            estimate.u[self.rows] * estimate.s,
-            estimate.vt[:, self.indices].T,
+            np.take(estimate.u * estimate.s, self.rows, axis=0),
+            np.take(np.ascontiguousarray(estimate.vt.T), self.indices, axis=0),
             out=self.values,
         )
         return self.values
+
+    def residual_values(self, residual) -> np.ndarray:
+        """A sparse matrix's entries on Ω as a new vector (0 where unstored).
+
+        Entries off Ω are dropped; the solver builds Ω to cover its
+        initial residual, so nothing is lost there.
+        """
+        if residual.nnz == 0:
+            return np.zeros(self.nnz)
+        return np.asarray(residual[self.rows, self.indices]).ravel()
 
     def residual_from(self, data: np.ndarray):
         """A CSR residual over Ω from a data vector (indices shared)."""

@@ -41,16 +41,9 @@ class TestConstruction:
             FeatureTensor(np.zeros((2, 2, 2)), ["x", "x"])
 
     def test_from_matrices(self):
-        t = FeatureTensor.from_matrices([np.eye(2), np.ones((2, 2))])
+        t = FeatureTensor(np.stack([np.eye(2), np.ones((2, 2))]))
         assert t.n_features == 2
-
-    def test_from_matrices_empty(self):
-        with pytest.raises(FeatureError, match="zero"):
-            FeatureTensor.from_matrices([])
-
-    def test_from_matrices_inconsistent(self):
-        with pytest.raises(FeatureError, match="inconsistent"):
-            FeatureTensor.from_matrices([np.eye(2), np.eye(3)])
+        assert t.slice(1)[0, 1] == 1.0
 
 
 class TestAccess:

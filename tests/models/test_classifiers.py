@@ -108,3 +108,22 @@ class TestStandardization:
         features, labels = separable
         model = LogisticRegression(standardize=False).fit(features, labels)
         assert (model.predict(features) == labels).mean() > 0.9
+
+
+class TestRawCoefficients:
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_reproduce_decision_function(self, rng, standardize):
+        features = rng.normal(loc=3.0, scale=[[5.0, 0.1, 1.0]], size=(60, 3))
+        labels = (features[:, 0] - 30 * features[:, 1] > 0).astype(float)
+        model = LogisticRegression(standardize=standardize).fit(features, labels)
+        weights, intercept = model.raw_coefficients()
+        np.testing.assert_allclose(
+            features @ weights + intercept,
+            model.decision_function(features),
+            rtol=1e-12,
+            atol=1e-12,
+        )
+
+    def test_requires_fit(self):
+        with pytest.raises(NotFittedError):
+            LogisticRegression().raw_coefficients()

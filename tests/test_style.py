@@ -30,7 +30,10 @@ def test_checker_catches_violations(tmp_path):
         import check_style
     finally:
         sys.path.pop(0)
-    bad = tmp_path / "bad.py"
+    # Inside a repro/perf/ directory, so the solver-path QR rule applies.
+    package = tmp_path / "repro" / "perf"
+    package.mkdir(parents=True)
+    bad = package / "bad.py"
     bad.write_text(
         "import time\n"
         "start = time.time()\n"
@@ -55,9 +58,12 @@ def test_checker_catches_violations(tmp_path):
         "export = sorted(graph.links())  # pairs-ok: small export\n"
         "rest = sorted(graph.links() - seen)\n"
         "members = graph.links()\n"
+        "q, r = np.linalg.qr(block)\n"
+        "q, r = np.linalg.qr(block)  # qr-ok: Householder fallback\n"
+        "kernel = np.linalg.qr\n"
     )
     violations = check_style.check_file(str(bad))
-    assert len(violations) == 9
+    assert len(violations) == 10
     assert any("time.time()" in v and ":2:" in v for v in violations)
     assert any("print()" in v and ":4:" in v for v in violations)
     assert any("bare except" in v and ":7:" in v for v in violations)
@@ -73,3 +79,9 @@ def test_checker_catches_violations(tmp_path):
     assert any(":20:" in v for v in pairs)
     assert any(":22:" in v for v in pairs)
     assert not any(":21:" in v or ":23:" in v for v in pairs)
+    qr = [v for v in violations if "np.linalg.qr" in v]
+    assert len(qr) == 1
+    assert ":24:" in qr[0]
+    outside = tmp_path / "elsewhere.py"
+    outside.write_text("q, r = np.linalg.qr(block)\n")
+    assert check_style.check_file(str(outside)) == []

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Observability and reliability style gate for ``src/repro``.
 
-Five rules, all born from real production bugs:
+Six rules, all born from real production bugs or measured slowdowns:
 
 1. **No ``time.time()`` duration arithmetic.**  Wall-clock time jumps
    (NTP slew, suspend/resume) corrupt latency and uptime numbers; all
@@ -41,6 +41,15 @@ Five rules, all born from real production bugs:
    instead.  A line that genuinely wants the tuples (an O(links) export,
    say) opts out with a ``# pairs-ok`` comment on the same line.
 
+6. **No Householder QR in the solver hot path.**  The range finders
+   orthonormalize their tall, skinny sketch blocks with CholeskyQR2
+   (``repro.perf.warm_svt._tall_qr``), about a quarter of the time of
+   ``np.linalg.qr`` on the factored fit's 5000×16 blocks; one stray
+   ``np.linalg.qr(`` in ``repro/perf``, ``repro/optim`` or
+   ``repro/factored`` quietly brings the slow kernel back.  A deliberate
+   site (the kernel's own Householder fallback) opts out with a
+   ``# qr-ok`` comment on the same line.
+
 Run from the repo root::
 
     python tools/check_style.py
@@ -61,6 +70,7 @@ SRC_ROOT = os.path.join(REPO_ROOT, "src", "repro")
 WALL_CLOCK_MARKER = "# wall-clock"
 DENSE_OK_MARKER = "# dense-ok"
 PAIRS_OK_MARKER = "# pairs-ok"
+QR_OK_MARKER = "# qr-ok"
 
 # Presentation layers whose stdout IS the product (tables, CLI banners).
 PRINT_ALLOWLIST = (
@@ -81,6 +91,13 @@ _DENSE_SQUARE = re.compile(
 # graph.non_links() anywhere, and sorted(graph.links()) / sorted(x.links() - y).
 _PAIR_LISTS = re.compile(r"\.non_links\(\)|\bsorted\(\s*[\w.]+\.links\(\)")
 
+# The solver packages whose QRs run on the range finders' hot path.
+QR_SCOPE = tuple(
+    os.path.join("repro", package) + os.sep
+    for package in ("perf", "optim", "factored")
+)
+_HOUSEHOLDER_QR = re.compile(r"\bnp\.linalg\.qr\(")
+
 
 def _relative(path: str) -> str:
     return os.path.relpath(path, REPO_ROOT)
@@ -90,9 +107,14 @@ def _print_allowed(relpath: str) -> bool:
     return any(relpath.startswith(prefix) for prefix in PRINT_ALLOWLIST)
 
 
+def _qr_scoped(path: str) -> bool:
+    return any(package in path for package in QR_SCOPE)
+
+
 def check_file(path: str) -> list:
     """All style violations in one file, as ``file:line: message`` strings."""
     relpath = _relative(path)
+    qr_scoped = _qr_scoped(os.path.abspath(path))
     violations = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -125,6 +147,16 @@ def check_file(path: str) -> list:
                     f"{relpath}:{lineno}: tuple list over all pairs — draw "
                     "from SocialGraph.link_pairs()/non_link_pairs() index "
                     f"arrays, or mark a deliberate site with '{PAIRS_OK_MARKER}'"
+                )
+            if (
+                qr_scoped
+                and _HOUSEHOLDER_QR.search(line)
+                and QR_OK_MARKER not in line
+            ):
+                violations.append(
+                    f"{relpath}:{lineno}: np.linalg.qr in the solver hot "
+                    "path — use repro.perf.warm_svt._tall_qr (CholeskyQR2), "
+                    f"or mark a deliberate Householder site with '{QR_OK_MARKER}'"
                 )
     return violations
 
