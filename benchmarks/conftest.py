@@ -8,6 +8,7 @@ scale parameters can be raised for paper-sized runs (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.evaluation.splits import k_fold_link_splits
@@ -29,9 +30,6 @@ def bench_splits(bench_aligned):
     """Two folds over the benchmark target."""
     graph = SocialGraph.from_network(bench_aligned.target)
     return k_fold_link_splits(graph, n_folds=2, random_state=BENCH_SEED)
-
-
-import numpy as np
 
 
 @pytest.fixture()

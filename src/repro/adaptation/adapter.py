@@ -276,11 +276,9 @@ class DomainAdapter:
         from scipy.stats import rankdata
 
         latent = self.transform(tensor, network_index)
-        model = self.pooled_latent_classifier()
-        n = latent.n_users
-        flat = latent.values.reshape(latent.n_features, -1).T  # (n², c)
-        logits = model.decision_function(flat).reshape(n, n)
-        logits = (logits + logits.T) / 2.0
+        logits = self.pooled_latent_classifier().pair_logits(latent.values)
+        del latent  # the c slices are dead before the ranking's n² buffers
+        n = logits.shape[0]
         affinity = rankdata(logits.ravel()).reshape(n, n)
         affinity = (affinity - 1.0) / max(1, affinity.size - 1)
         np.fill_diagonal(affinity, 0.0)

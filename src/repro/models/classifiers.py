@@ -126,6 +126,25 @@ class LogisticRegression:
         weights = self.weights / self._scale
         return weights, self.intercept - float(weights @ self._mean)
 
+    def pair_logits(self, values: np.ndarray) -> np.ndarray:
+        """Symmetrized logits on every pair of a ``(d, n, n)`` feature cube.
+
+        The standardization is folded into the weights
+        (:meth:`raw_coefficients`) and the logits are accumulated slice
+        by slice into one ``n×n`` buffer, so no ``(n², d)`` view or
+        standardized copy of the cube is formed.
+        """
+        n = values.shape[1]
+        weights, intercept = self.raw_coefficients()
+        logits = np.full((n, n), intercept)  # dense-ok: the n×n readout
+        scratch = np.empty((n, n))  # dense-ok: one slice of the n×n readout
+        for matrix, weight in zip(values, weights):
+            np.multiply(matrix, weight, out=scratch)
+            logits += scratch
+        np.add(logits, logits.T, out=scratch)
+        scratch /= 2.0
+        return scratch
+
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """P(label = 1) per sample."""
         return _sigmoid(self.decision_function(features))

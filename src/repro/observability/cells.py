@@ -2,9 +2,9 @@
 
 The registry's :class:`~repro.observability.metrics.Counter` and
 :class:`~repro.observability.metrics.Histogram` take a lock per record,
-which BENCH_serving.json's ``telemetry_overhead`` snapshot priced at
-~20% of request latency on the top-k hot path.  This module is the hot
-tier that removes that cost:
+which cost ~20% of request latency on the top-k hot path (cold top-k
+medians, instrumented vs ``NullTracer``/``NullRegistry``).  This module
+is the hot tier that removes that cost:
 
 * :class:`StripedCounter` / :class:`StripedHistogram` keep one **cell
   per recording thread** (``threading.local``).  The record path is an

@@ -100,8 +100,7 @@ class _QuantileSummary:
     """Bounded sliding window of the most recent observations.
 
     A full streaming sketch is overkill at serving scale; a 1024-sample
-    window answers "what are p50/p95/p99 *right now*" with bounded memory,
-    which is exactly what the benchmark trajectory recorder needs.
+    window answers "what are p50/p95/p99 *right now*" with bounded memory.
     Callers must hold the owning metric's lock.
     """
 

@@ -1,16 +1,11 @@
-"""Serving latency and error rate under 10% fault injection.
+"""Serving error rate and latency under 10% fault injection.
 
 Boots a real HTTP server over a synthetic artifact and drives the same
 request stream twice — chaos disabled, then with ``serving.request``
-faults armed at 10% — recording both passes into ``BENCH_serving.json``:
-
-* ``chaos_off`` — the baseline hot path with the injector inactive, the
-  number the "no measurable regression with chaos disabled" gate reads;
-* ``chaos_degradation`` — p50/p95/p99 of *answered* requests plus the
-  clean-failure rate while one request in ten dies at the fault point.
-
-The in-test assertions are deliberately loose (CI timing is noisy); the
-trajectory file carries the precise numbers.
+faults armed at 10%.  The clean pass must answer every request; the
+chaotic pass must fail only cleanly (JSON error bodies) at about the
+armed rate, and the requests it answers must not slow pathologically.
+The latency bound is deliberately loose: CI timing is noisy.
 """
 
 from __future__ import annotations
@@ -29,19 +24,10 @@ from repro.serving.aio import AsyncLinkPredictionServer
 from repro.serving.artifacts import ArtifactStore
 from repro.serving.service import LinkPredictionService
 
-from trajectory import outcome_summary, percentile_summary, record_snapshot
-
 N_USERS = 500
 N_REQUESTS = 200
 TOP_K = 10
 FAULT_RATE = 0.10
-
-_CONTEXT = {
-    "n_users": N_USERS,
-    "n_requests": N_REQUESTS,
-    "top_k": TOP_K,
-    "fault_rate": FAULT_RATE,
-}
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +41,7 @@ def endpoint(tmp_path_factory):
     server = AsyncLinkPredictionServer(
         service, port=0, request_deadline_s=10.0
     ).start()
-    yield f"http://127.0.0.1:{server.server_address[1]}", service
+    yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
     server.server_close()
 
@@ -77,46 +63,22 @@ def _drive(base):
     return latencies, statuses
 
 
-def test_latency_and_error_rate_under_chaos(benchmark, endpoint):
-    base, service = endpoint
+def _error_rate(statuses):
+    return sum(1 for status in statuses if status >= 400) / len(statuses)
 
-    def run():
+
+def test_latency_and_error_rate_under_chaos(endpoint):
+    _, base_statuses = _drive(endpoint)
+    GLOBAL_INJECTOR._seed = 424242
+    GLOBAL_INJECTOR.arm("serving.request", probability=FAULT_RATE)
+    try:
+        chaos_latencies, chaos_statuses = _drive(endpoint)
+    finally:
         GLOBAL_INJECTOR.reset()
-        baseline = _drive(base)
-        GLOBAL_INJECTOR._seed = 424242
-        GLOBAL_INJECTOR.arm("serving.request", probability=FAULT_RATE)
-        try:
-            chaotic = _drive(base)
-        finally:
-            GLOBAL_INJECTOR.reset()
-        return baseline, chaotic
-
-    (base_lat, base_st), (chaos_lat, chaos_st) = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-
-    base_stats = record_snapshot(
-        "chaos_off",
-        {**percentile_summary(base_lat), **outcome_summary(base_st)},
-        context=_CONTEXT,
-    )["stats"]
-    chaos_stats = record_snapshot(
-        "chaos_degradation",
-        {**percentile_summary(chaos_lat), **outcome_summary(chaos_st)},
-        context=_CONTEXT,
-    )["stats"]
-    print(
-        f"\nchaos off  p50={base_stats['p50_ms']:.3f}ms"
-        f" p99={base_stats['p99_ms']:.3f}ms"
-        f" errors={base_stats['error_rate']:.1%}"
-        f"\nchaos 10%  p50={chaos_stats['p50_ms']:.3f}ms"
-        f" p99={chaos_stats['p99_ms']:.3f}ms"
-        f" errors={chaos_stats['error_rate']:.1%}"
-    )
 
     # The clean path stays clean, and chaos produces only *clean* failures
     # near the armed rate — a crash or non-JSON body fails _drive itself.
-    assert base_stats["error_rate"] == 0.0
-    assert 0.0 < chaos_stats["error_rate"] < 3.0 * FAULT_RATE
+    assert _error_rate(base_statuses) == 0.0
+    assert 0.0 < _error_rate(chaos_statuses) < 3.0 * FAULT_RATE
     # Surviving requests must not slow pathologically under injection.
-    assert chaos_stats["p99_ms"] < 1e3
+    assert np.percentile(chaos_latencies, 99) * 1e3 < 1e3

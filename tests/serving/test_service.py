@@ -106,6 +106,22 @@ class TestBatchTopK:
         service.batch_top_k([0, 1, 2], k=4)
         assert service.tracer.counters["serve.topk_requests"] == 3
 
+    def test_mixed_k_matches_per_k_passes_exactly(self, service):
+        """One pass at the batch's largest k, trimmed per request."""
+        k_choices = (1, 3, 5, 10)
+        for start in range(0, 24, 8):
+            users = list(range(start, start + 8))
+            ks = [k_choices[i % len(k_choices)] for i in range(8)]
+            service.cache.invalidate()
+            mixed = service.batch_top_k_mixed(users, ks)
+            service.cache.invalidate()
+            expected = {}
+            for k in k_choices:
+                group = [u for u, uk in zip(users, ks) if uk == k]
+                for user, ranking in zip(group, service.batch_top_k(group, k)):
+                    expected[user] = ranking
+            assert mixed == [expected[user] for user in users]
+
 
 class TestReload:
     def test_noop_when_current(self, service):

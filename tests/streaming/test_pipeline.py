@@ -38,6 +38,24 @@ class TestTick:
         stats = pipeline.stats()
         assert stats["acked_seq"] == stats["applied_seq"] == stats["published_seq"]
 
+    def test_served_version_contains_every_acked_delta(self, tmp_path):
+        store = ArtifactStore(str(tmp_path / "store"))
+        pipeline = StreamingPipeline(
+            str(tmp_path / "stream"),
+            n_users=8,
+            store=store,
+            refitter=_quick_refitter(),
+        )
+        pipeline.submit(link_add(0, 1))
+        pipeline.tick()
+        service = LinkPredictionService(store)
+        pipeline.service = service
+        for u, v in [(1, 2), (2, 3), (3, 4)]:
+            seq = pipeline.submit(link_add(u, v))
+            pipeline.tick()
+            meta = service.artifact.manifest.get("meta", {})
+            assert int(meta.get("applied_seq", -1)) >= seq
+
     def test_staleness_zero_when_caught_up(self, tmp_path):
         pipeline = StreamingPipeline(
             str(tmp_path), n_users=6, refitter=_quick_refitter()
