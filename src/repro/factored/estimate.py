@@ -199,14 +199,20 @@ class FactoredEstimate:
         return out
 
     def rows(self, indices) -> np.ndarray:
-        """Dense rows ``self[indices, :]`` — one O(mk·n) matvec block.
+        """Dense rows ``self[indices, :]`` — one O(k·n) matvec per row.
 
         This is the serving layer's scoring primitive: one user's
         candidate scores are ``u_i diag(s) Vᵀ`` plus that user's sparse
-        residual row.
+        residual row.  Every row goes through the same one-row product,
+        so a row's bits do not depend on which batch it was scored in
+        (one GEMM over the batch would round differently from the
+        single-row GEMV, and reorder near-ties between the two).
         """
         indices = np.atleast_1d(np.asarray(indices, dtype=int))
-        out = (self.u[indices] * self.s) @ self.vt
+        scaled = self.u[indices] * self.s
+        out = np.empty((indices.size, self.vt.shape[1]))
+        for row in range(indices.size):
+            out[row] = scaled[row : row + 1] @ self.vt
         if self.residual.nnz:
             out += self.residual[indices].toarray()
         return out

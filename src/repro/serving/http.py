@@ -35,6 +35,9 @@ Degradation is explicit, never accidental (DESIGN.md §11):
 * an optional per-request deadline (``request_deadline_s``) propagates as
   the batcher's wait budget and maps
   :class:`~repro.exceptions.DeadlineExceededError` to 503;
+* backpressure, spent retries and a corrupt artifact answer 503 as an
+  open circuit breaker does: the request was valid and only the
+  server's state refuses it;
 * any unexpected exception — including faults armed at the
   ``serving.request`` chaos site — is answered as a JSON 500, so a bug in
   one handler can never leak a raw stack trace or tear the worker down.
@@ -50,9 +53,12 @@ import time
 from typing import Dict, Optional, Tuple, Union
 
 from repro.exceptions import (
+    ArtifactCorruptError,
+    BackpressureError,
     CircuitOpenError,
     DeadlineExceededError,
     ReproError,
+    RetryExhaustedError,
 )
 from repro.observability.logging import get_logger
 from repro.observability.profiler import global_profiler
@@ -61,6 +67,15 @@ from repro.serving.batcher import MicroBatcher
 from repro.serving.service import LinkPredictionService
 
 _log = get_logger("repro.serving.http")
+
+# Failures of the server, not of the request: each answers 503.
+_UNAVAILABLE = (
+    DeadlineExceededError,
+    CircuitOpenError,
+    BackpressureError,
+    RetryExhaustedError,
+    ArtifactCorruptError,
+)
 
 ROUTE_LABELS = {
     "/healthz": "healthz",
@@ -221,9 +236,10 @@ class EndpointRouter:
             try:
                 fault_point("serving.request")
                 return handler()
-            except (DeadlineExceededError, CircuitOpenError) as exc:
+            except _UNAVAILABLE as exc:
                 # Degradation, not caller error: the request was valid but
-                # cannot be answered in time / the dependency is fenced off.
+                # the server cannot answer it now (out of time, fenced off,
+                # overloaded, out of retries, or holding a damaged artifact).
                 tracer.count("http.degraded")
                 self.server_errors.labels(route=route).inc()
                 return 503, self.error_payload(503, str(exc), request_id)

@@ -153,6 +153,12 @@ class StreamState:
         self._links: Dict[Tuple[int, int], float] = {}
         self._attributes: Dict[Tuple[int, int], float] = {}
         self.applied_seq = 0
+        self._invalidate()
+
+    def _invalidate(self) -> None:
+        """Drop the per-version CSR and digest (the state changed)."""
+        self._csr: Optional[sparse.csr_matrix] = None
+        self._digest: Optional[str] = None
 
     # -- mutation -------------------------------------------------------
     def _check_user(self, index: int) -> int:
@@ -184,6 +190,7 @@ class StreamState:
             else:
                 self._links.pop(key, None)
         self.applied_seq = seq
+        self._invalidate()
         return True
 
     def apply_many(self, records: Iterable[Tuple[int, Delta]]) -> int:
@@ -210,7 +217,20 @@ class StreamState:
         return self._attributes.get((int(user), int(attribute)), 0.0)
 
     def to_csr(self) -> sparse.csr_matrix:
-        """The symmetric adjacency as a deterministic CSR matrix."""
+        """The symmetric adjacency as a deterministic CSR matrix.
+
+        Built once per state version and shared by every caller until the
+        next :meth:`apply`, so its arrays are read-only: an in-place write
+        raises instead of corrupting the next caller's graph.
+        """
+        if self._csr is None:
+            matrix = self._build_csr()
+            for array in (matrix.data, matrix.indices, matrix.indptr):
+                array.flags.writeable = False
+            self._csr = matrix
+        return self._csr
+
+    def _build_csr(self) -> sparse.csr_matrix:
         if not self._links:
             return sparse.csr_matrix((self.n_users, self.n_users))
         keys = sorted(self._links)
@@ -243,7 +263,15 @@ class StreamState:
         )
 
     def digest(self) -> str:
-        """Sha256 over the full state: the bit-exact recovery oracle."""
+        """Sha256 over the full state: the bit-exact recovery oracle.
+
+        Computed once per state version (see :meth:`to_csr`).
+        """
+        if self._digest is None:
+            self._digest = self._compute_digest()
+        return self._digest
+
+    def _compute_digest(self) -> str:
         hasher = hashlib.sha256()
         hasher.update(f"v{STATE_SCHEMA_VERSION}:{self.n_users}:".encode())
         hasher.update(f"seq={self.applied_seq};".encode())

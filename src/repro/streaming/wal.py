@@ -178,6 +178,13 @@ class WriteAheadLog:
         self._segment_path: Optional[str] = None
         self._clean_end = 0  # valid bytes in the open segment
         self._dirty = False  # an injected torn write left trailing garbage
+        # (segment path, clean end) of the newest acknowledged record,
+        # replaced as one tuple after each successful append so a replay
+        # on another thread reads a consistent pair without a lock.
+        self._acked: Tuple[Optional[str], int] = (None, 0)
+        # (segment path, byte offset, next seq) just past the newest frame
+        # a replay or the recovery scan has validated.
+        self._cursor: Tuple[Optional[str], int, int] = (None, 0, 1)
         self.last_seq = 0
         self.torn_tail_truncations = 0
         if registry is not None:
@@ -241,6 +248,8 @@ class WriteAheadLog:
             self._segment_path = path
             self._clean_end = os.path.getsize(path)
             self._handle = open(path, "ab")
+            self._acked = (path, self._clean_end)
+            self._cursor = (path, self._clean_end, self.last_seq + 1)
         self._dirty = False
 
     def _truncate_file(self, path: str, size: int) -> None:
@@ -325,6 +334,7 @@ class WriteAheadLog:
             raise
         self._clean_end += len(frame)
         self.last_seq = seq
+        self._acked = (self._segment_path, self._clean_end)
         if self._c_appends is not None:
             self._c_appends.inc()
         return seq
@@ -346,21 +356,73 @@ class WriteAheadLog:
         """Yield ``(seq, payload)`` for every record with ``seq > after_seq``.
 
         Reads the segments fresh from disk, so a replay sees exactly what
-        recovery after a crash would see.
+        recovery after a crash would see, and reads only acknowledged
+        bytes: a frame an in-flight :meth:`append` has written but not
+        yet fsynced (and may still roll back) is never yielded.
+
+        A replay resumes at a cursor — the position just past the newest
+        frame an earlier replay or the recovery scan validated — whenever
+        ``after_seq`` is at or past it, so a consumer that replays after
+        each batch of appends reads and hashes only the new frames.
+        Otherwise (``replay(0)``, or a consumer behind the cursor) the
+        scan starts at the segment holding ``after_seq + 1``.  Every
+        yielded frame is checked — magic, length bound, sha256 and
+        gapless seq — and the replay stops at the first that fails.
         """
         after_seq = int(after_seq)
-        if self._handle is not None:
-            self._handle.flush()
+        acked_path, acked_end = self._acked
+        if acked_path is None:
+            return
         segments = self._segment_paths()
-        for index, (first_seq, path) in enumerate(segments):
-            if index + 1 < len(segments) and segments[index + 1][0] <= after_seq + 1:
-                continue  # every record here is at or below after_seq
+        start = self._resume_point(segments, after_seq)
+        if start is None:
+            return
+        index, offset, expected = start
+        for first_seq, path in segments[index:]:
+            if path > acked_path:  # names sort by first seq
+                break  # opened by an append that has not been acknowledged
             with open(path, "rb") as handle:
-                data = handle.read()
-            scan = _scan_segment(data, first_seq)
-            for seq, offset, length in scan.records:
+                handle.seek(offset)
+                if path == acked_path:
+                    data = handle.read(max(0, acked_end - offset))
+                else:
+                    data = handle.read()
+            scan = _scan_segment(data, expected)
+            for seq, start_byte, length in scan.records:
+                expected = seq + 1
+                self._advance_cursor(
+                    path, offset + start_byte + length + _DIGEST_BYTES, expected
+                )
                 if seq > after_seq:
-                    yield seq, data[offset : offset + length]
+                    yield seq, data[start_byte : start_byte + length]
+            if scan.torn or path == acked_path:
+                break
+            offset = 0
+
+    def _resume_point(
+        self, segments: List[Tuple[int, str]], after_seq: int
+    ) -> Optional[Tuple[int, int, int]]:
+        """``(segment index, byte offset, expected seq)`` to start a replay at."""
+        if not segments:
+            return None
+        path, offset, next_seq = self._cursor
+        if after_seq + 1 >= next_seq:
+            for index, (first_seq, segment) in enumerate(segments):
+                if segment == path:
+                    return index, offset, next_seq
+                if first_seq == next_seq:
+                    # The cursor's segment was compacted away at its end.
+                    return index, 0, next_seq
+        index = 0
+        while index + 1 < len(segments) and segments[index + 1][0] <= after_seq + 1:
+            index += 1  # every record before segment index + 1 is <= after_seq
+        return index, 0, segments[index][0]
+
+    def _advance_cursor(self, path: str, offset: int, next_seq: int) -> None:
+        # Forward only: a rescan from the log's start (``replay(0)``,
+        # :meth:`record_count`) must not pull the cursor back.
+        if next_seq > self._cursor[2]:
+            self._cursor = (path, offset, next_seq)
 
     def record_count(self) -> int:
         """Number of replayable records currently on disk."""

@@ -6,7 +6,8 @@ in-memory state, optionally leaves a torn tail of garbage bytes on the
 newest segment, and recovery rebuilds from snapshot + replay.  Whatever
 the schedule, the recovered state must carry the same digest as one
 uninterrupted in-memory apply of every acknowledged delta (dedup across
-restarts is what makes this hold)."""
+restarts is what makes this hold), and every live replay — which resumes
+at the log's cursor — must yield what a freshly opened log replays."""
 
 import os
 import shutil
@@ -50,9 +51,9 @@ _ops = st.one_of(
 )
 
 
-def _recover(home, state_path):
+def _recover(home, state_path, segment_bytes=4 << 20):
     """What a fresh process does: snapshot (if intact) + WAL replay."""
-    wal = WriteAheadLog(os.path.join(home, "wal"))
+    wal = WriteAheadLog(os.path.join(home, "wal"), segment_max_bytes=segment_bytes)
     if os.path.exists(state_path):
         try:
             state = StreamState.load(state_path)
@@ -73,23 +74,34 @@ def _newest_segment(wal_dir):
 
 
 @settings(max_examples=30)
-@given(ops=st.lists(_ops, max_size=40))
-def test_interleaved_crashes_and_replays_converge(ops):
+@given(
+    ops=st.lists(_ops, max_size=40),
+    # The small size rotates every couple of records, so the replay
+    # cursor also crosses segment boundaries and compacted segments.
+    segment_bytes=st.sampled_from([4 << 20, 160]),
+)
+def test_interleaved_crashes_and_replays_converge(ops, segment_bytes):
     home = tempfile.mkdtemp(prefix="wal-prop-")
     try:
         wal_dir = os.path.join(home, "wal")
         state_path = os.path.join(home, "state.npz")
         oracle = StreamState(N_USERS)  # the uninterrupted apply
-        wal = WriteAheadLog(wal_dir)
+        wal = WriteAheadLog(wal_dir, segment_max_bytes=segment_bytes)
         state = StreamState(N_USERS)
         for op, payload in ops:
             if op == "submit":
                 seq = wal.append(payload.encode())
                 oracle.apply(seq, payload)
             elif op == "apply":
+                after = state.applied_seq
+                records = list(wal.replay(after))
+                # The live log resumes at its cursor; a freshly opened
+                # one scans from the start: both must yield the same.
+                fresh = WriteAheadLog(wal_dir)
+                assert records == list(fresh.replay(after))
+                fresh.close()
                 state.apply_many(
-                    (seq, Delta.decode(raw))
-                    for seq, raw in wal.replay(state.applied_seq)
+                    (seq, Delta.decode(raw)) for seq, raw in records
                 )
             elif op == "snapshot":
                 state.save(state_path)
@@ -100,7 +112,7 @@ def test_interleaved_crashes_and_replays_converge(ops):
                 if segment is not None and payload:
                     with open(segment, "ab") as handle:
                         handle.write(payload)
-                wal, state = _recover(home, state_path)
+                wal, state = _recover(home, state_path, segment_bytes)
         wal.close()
         _, recovered = _recover(home, state_path)
         assert recovered.digest() == oracle.digest()

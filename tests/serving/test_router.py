@@ -46,6 +46,9 @@ EXCEPTION_STATUS = {
     # Degradation: the request was valid but cannot be answered now.
     DeadlineExceededError: 503,
     CircuitOpenError: 503,
+    BackpressureError: 503,
+    RetryExhaustedError: 503,
+    ArtifactCorruptError: 503,
     # Chaos faults stand in for arbitrary internal crashes.
     InjectedFaultError: 500,
     # Every other library error, and ValueError, is the caller's.
@@ -60,11 +63,8 @@ EXCEPTION_STATUS = {
     NotFittedError: 400,
     EvaluationError: 400,
     SerializationError: 400,
-    ArtifactCorruptError: 400,
     WalCorruptError: 400,
     ReliabilityError: 400,
-    BackpressureError: 400,
-    RetryExhaustedError: 400,
     ValueError: 400,
     # Anything else is an internal error.
     TruncatedSVTWarning: 500,

@@ -111,3 +111,58 @@ class TestStreamState:
             handle.write(raw[: len(raw) // 2])  # torn snapshot write
         with pytest.raises(ArtifactCorruptError):
             StreamState.load(path)
+
+
+def _csr_equal(a, b):
+    return (
+        a.shape == b.shape
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.data, b.data)
+    )
+
+
+class TestCachedViews:
+    """``to_csr`` and ``digest`` are built once per state version."""
+
+    def _assert_matches_fresh_fold(self, state, records):
+        fresh = StreamState(state.n_users)
+        fresh.apply_many(records)
+        assert state.digest() == fresh.digest()
+        assert _csr_equal(state.to_csr(), fresh.to_csr())
+
+    def test_every_mutation_refreshes_the_cache(self, tmp_path):
+        mutations = [
+            link_add(0, 1, 1.0),  # add
+            link_add(2, 1, 2.0),
+            link_add(1, 0, 3.0),  # weight overwrite
+            link_remove(1, 2),  # remove
+            link_remove(3, 4),  # remove of an absent link
+            attribute_set(2, 1, 0.5),  # attr.set
+        ]
+        state = StreamState(5)
+        records = []
+        for seq, delta in enumerate(mutations, start=1):
+            state.to_csr(), state.digest()  # cache the previous version
+            assert state.apply(seq, delta)
+            records.append((seq, delta))
+            self._assert_matches_fresh_fold(state, records)
+        state.to_csr(), state.digest()
+        assert not state.apply(3, link_add(3, 4))  # replayed duplicate seq
+        self._assert_matches_fresh_fold(state, records)
+        path = str(tmp_path / "state.npz")
+        state.save(path)
+        loaded = StreamState.load(path)
+        self._assert_matches_fresh_fold(loaded, records)
+        assert loaded.applied_seq == len(mutations)
+
+    def test_cached_csr_is_shared_and_read_only(self):
+        state = StreamState(4)
+        state.apply(1, link_add(0, 1))
+        adjacency = state.to_csr()
+        assert state.to_csr() is adjacency
+        for array in (adjacency.data, adjacency.indices, adjacency.indptr):
+            with pytest.raises(ValueError):
+                array[0] = 7
+        empty = StreamState(4).to_csr()
+        assert not empty.indptr.flags.writeable

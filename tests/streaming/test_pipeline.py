@@ -1,5 +1,7 @@
 """The streaming pipeline: ticks, recovery, warm starts, degraded entry."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from repro.reliability.checkpoints import CheckpointManager
 from repro.serving.artifacts import ArtifactStore
 from repro.serving.service import LinkPredictionService
 from repro.streaming import StreamingPipeline, WarmRefitter, link_add, link_remove
+from repro.streaming.deltas import StreamState
 from repro.streaming.refit import WarmRefitter as Refitter
+from repro.streaming.wal import WriteAheadLog
 
 
 def _quick_refitter(**kwargs):
@@ -81,6 +85,62 @@ class TestTick:
         pipeline.close()
         recovered = StreamingPipeline(str(tmp_path), n_users=6)
         assert recovered.state.digest() == pipeline.state.digest()
+
+
+class TestTickCost:
+    """A tick's bookkeeping grows with its new deltas, not the history."""
+
+    def _seeded(self, tmp_path, records=5000, n_users=24):
+        seed_log = WriteAheadLog(
+            os.path.join(str(tmp_path), "wal"), fsync=False
+        )
+        for i in range(records):
+            delta = link_add(i % (n_users - 1), n_users - 1, 1 + i % 3)
+            seed_log.append(delta.encode())
+        seed_log.close()
+        pipeline = StreamingPipeline(
+            str(tmp_path),
+            n_users=n_users,
+            store=ArtifactStore(os.path.join(str(tmp_path), "store")),
+            refitter=_quick_refitter(),
+        )
+        pipeline.tick()
+        return pipeline
+
+    def test_apply_hashes_only_new_records(self, tmp_path, hashed_frames):
+        pipeline = self._seeded(tmp_path)
+        for i in range(10):
+            pipeline.submit(link_add(i, i + 1, 2.0))
+        hashed_frames.clear()
+        assert pipeline.apply_pending() == 10
+        assert hashed_frames == list(range(5001, 5011))
+
+    def test_tick_builds_csr_and_digest_once(self, tmp_path, monkeypatch):
+        pipeline = self._seeded(tmp_path, records=200)
+        builds = {"csr": 0, "digest": 0}
+
+        def counting(name, method):
+            def wrapper(self):
+                builds[name] += 1
+                return method(self)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            StreamState, "_build_csr", counting("csr", StreamState._build_csr)
+        )
+        monkeypatch.setattr(
+            StreamState,
+            "_compute_digest",
+            counting("digest", StreamState._compute_digest),
+        )
+        pipeline.submit(link_add(0, 5, 3.0))
+        summary = pipeline.tick()
+        assert summary["applied"] == 1
+        assert summary["published_version"] == 2
+        assert builds == {"csr": 1, "digest": 1}
+        pipeline.tick()  # nothing new: the version's CSR and digest stand
+        assert builds == {"csr": 1, "digest": 1}
 
 
 class TestRecovery:

@@ -7,6 +7,8 @@ import pytest
 from repro.exceptions import ConfigurationError, WalCorruptError
 from repro.observability.metrics import MetricsRegistry
 from repro.reliability.faults import GLOBAL_INJECTOR, InjectedFaultError
+from repro.streaming import wal as wal_module
+from repro.streaming.deltas import Delta, StreamState, link_add
 from repro.streaming.wal import WriteAheadLog, _FRAME_OVERHEAD
 
 
@@ -156,3 +158,113 @@ class TestFaultSites:
         recovered = WriteAheadLog(str(tmp_path))
         assert recovered.torn_tail_truncations == 1
         assert list(recovered.replay()) == [(1, b"durable")]
+
+
+class TestReplayCursor:
+    def test_resumed_replay_hashes_only_new_frames(self, tmp_path, hashed_frames):
+        wal = WriteAheadLog(str(tmp_path))
+        for i in range(50):
+            wal.append(b"%04d" % i)
+        assert len(list(wal.replay(0))) == 50
+        wal.append(b"new-1")
+        wal.append(b"new-2")
+        hashed_frames.clear()
+        assert list(wal.replay(50)) == [(51, b"new-1"), (52, b"new-2")]
+        assert hashed_frames == [51, 52]
+        hashed_frames.clear()
+        assert list(wal.replay(52)) == []
+        assert hashed_frames == []
+
+    def test_recovery_scan_places_the_cursor(self, tmp_path, hashed_frames):
+        wal = WriteAheadLog(str(tmp_path))
+        for i in range(20):
+            wal.append(b"%04d" % i)
+        wal.close()
+        reopened = WriteAheadLog(str(tmp_path))
+        hashed_frames.clear()
+        assert list(reopened.replay(20)) == []
+        assert hashed_frames == []
+
+    def test_replay_behind_the_cursor_rescans(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path))
+        for i in range(6):
+            wal.append(b"%04d" % i)
+        assert [seq for seq, _ in wal.replay(4)] == [5, 6]
+        assert [seq for seq, _ in wal.replay(2)] == [3, 4, 5, 6]
+        assert wal.record_count() == 6
+        assert [seq for seq, _ in wal.replay(6)] == []
+
+    def test_cursor_crosses_rotation_and_compaction(self, tmp_path):
+        # Two records per segment; compaction between a rotation and the
+        # next replay deletes the segment the cursor sits at the end of.
+        wal = WriteAheadLog(str(tmp_path), segment_max_bytes=_FRAME_OVERHEAD + 8)
+        applied = 0
+        for i in range(9):
+            wal.append(b"%04d" % i)
+            if i % 2:
+                wal.truncate_through(applied)
+                seqs = [seq for seq, _ in wal.replay(applied)]
+                assert seqs == list(range(applied + 1, i + 2))
+                applied = seqs[-1]
+        assert wal.first_seq > 1
+        assert [seq for seq, _ in wal.replay(applied)] == [9]
+        fresh = WriteAheadLog(str(tmp_path))
+        assert list(fresh.replay(7)) == list(wal.replay(7))
+
+    def test_partial_rescan_leaves_the_cursor_in_place(self, tmp_path, hashed_frames):
+        wal = WriteAheadLog(str(tmp_path))
+        for i in range(4):
+            wal.append(b"%04d" % i)
+        assert len(list(wal.replay(0))) == 4
+        records = wal.replay(0)
+        assert next(records) == (1, b"0000")
+        records.close()
+        hashed_frames.clear()
+        assert list(wal.replay(4)) == []
+        assert hashed_frames == []
+        assert [seq for seq, _ in wal.replay(1)] == [2, 3, 4]
+
+    def test_replay_reads_only_acknowledged_bytes(self, tmp_path, monkeypatch):
+        """A frame whose fsync fails is never replayed, not even mid-append.
+
+        The failing fsync first runs a consumer's replay — the window in
+        which the frame is written and flushed but not yet acknowledged —
+        then fails, so the append rolls the frame back.
+        """
+        wal = WriteAheadLog(str(tmp_path))
+        live = StreamState(4)
+
+        def fold():
+            records = [
+                (seq, Delta.decode(raw))
+                for seq, raw in wal.replay(live.applied_seq)
+            ]
+            live.apply_many(records)
+            return records
+
+        assert wal.append(link_add(0, 1).encode()) == 1
+        fold()
+        real_fsync = os.fsync
+        mid_append = []
+
+        def replay_then_fail(fd):
+            if mid_append:
+                return real_fsync(fd)  # the rollback's own truncate-and-sync
+            mid_append.append(fold())
+            raise OSError("fsync failed")
+
+        monkeypatch.setattr(wal_module.os, "fsync", replay_then_fail)
+        with pytest.raises(OSError):
+            wal.append(link_add(1, 2).encode())
+        monkeypatch.undo()
+        assert mid_append == [[]]
+        retried = link_add(2, 3)
+        assert wal.append(retried.encode()) == 2
+        assert fold() == [(2, retried)]
+        wal.close()
+        recovered = StreamState(4)
+        recovered.apply_many(
+            (seq, Delta.decode(raw))
+            for seq, raw in WriteAheadLog(str(tmp_path)).replay()
+        )
+        assert live.digest() == recovered.digest()

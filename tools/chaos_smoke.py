@@ -16,11 +16,13 @@ fault-injection flag armed:
 5. scrape ``/metrics`` and fail unless the reliability series
    (retries, breaker state, shed/degraded counters) are exposed;
 6. **streaming leg** — run a full ingest→WAL→warm-refit→publish→hot-swap
-   cycle with the ``streaming.wal.*`` sites armed: every acknowledged
-   delta must survive a simulated crash (digest-identical recovery), at
-   least one version must publish, forcing the reload breaker open must
-   switch answers to the degraded common-neighbor tier, and the HTTP
-   surface must never 5xx outside injected sites.
+   cycle with the ``streaming.wal.*`` sites armed: the live state after
+   the last tick must be the fold of exactly the acknowledged deltas,
+   every acknowledged delta must survive a simulated crash
+   (digest-identical recovery), at least one version must publish,
+   forcing the reload breaker open must switch answers to the degraded
+   common-neighbor tier, and the HTTP surface must never 5xx outside
+   injected sites.
 
 Run from the repo root::
 
@@ -242,6 +244,14 @@ def _streaming_leg() -> None:
                 "streaming leg never published a version under chaos "
                 f"(last error: {pipeline.last_refit_error})"
             )
+        # The live state was folded through cursor-resumed replays while
+        # torn writes and failed fsyncs hit the log: it must already be
+        # the fold of exactly the acked deltas.
+        if pipeline.state.digest() != oracle.digest():
+            raise SystemExit(
+                "live stream state diverged from the acked oracle: "
+                f"{pipeline.stats()}"
+            )
         # Crash: abandon the in-memory pipeline, recover from disk, and
         # demand the digest of an uninterrupted apply of every ack.
         pipeline.close()
@@ -255,7 +265,8 @@ def _streaming_leg() -> None:
         print(
             f"chaos smoke: streaming leg acked {oracle.applied_seq} deltas "
             f"({injected_failures} injected WAL faults retried), "
-            f"{pipeline.publishes} publishes, recovery digest-identical"
+            f"{pipeline.publishes} publishes, live and recovered states "
+            "digest-identical"
         )
 
         # Degraded tier: trip the reload breaker past its threshold and
