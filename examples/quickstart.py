@@ -77,8 +77,10 @@ def main() -> None:
         print(f"  ({i:3d}, {j:3d})  {candidate_scores[idx]:.3f}")
 
     # 6. Archive the traced run as a schema-versioned JSON report and read
-    #    it back: per-phase wall-clock, per-iteration objective breakdown
-    #    and the retained SVD rank of every trace-norm prox apply.
+    #    it back: per-phase wall-clock, the retained SVD rank of every
+    #    trace-norm prox apply, and the objective broken out by term.  The
+    #    objective is evaluated once per CCCP round, on the round's last
+    #    iterate, so the run's last record carries the final one.
     report_path = model.run_report(name="quickstart").save(
         default_report_path("quickstart")
     )
@@ -86,7 +88,7 @@ def main() -> None:
     print(f"\nrun report ({report_path}):")
     print(report.summary())
     last = report.iterations[-1]
-    print("\nlast iteration objective terms:")
+    print("\nfinal objective terms:")
     for term, value in sorted(last["objective_terms"].items()):
         print(f"  {term:<24} {value:12.4f}")
 

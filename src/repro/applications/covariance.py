@@ -36,8 +36,8 @@ class _OffDiagonalL1Prox:
         off = matrix - np.diag(np.diag(matrix))
         return self.weight * float(np.abs(off).sum())
 
-    def apply(self, matrix: np.ndarray, step: float) -> np.ndarray:
-        out = soft_threshold(matrix, step * self.weight)
+    def apply(self, matrix: np.ndarray, step: float, tracer=None) -> np.ndarray:
+        out = soft_threshold(matrix, step * self.weight, tracer=tracer)
         np.fill_diagonal(out, np.diag(matrix))
         return out
 

@@ -31,7 +31,7 @@ def run_figure3(
     Returns ``variable_norms`` (‖S^h‖₁), ``update_norms``
     (‖S^h − S^{h−1}‖₁), ``n_iterations``, ``converged`` and ``text``.
     A live ``tracer`` is handed to the model, so the whole CCCP run —
-    rounds, gradient/prox spans, per-iteration objective breakdown — lands
+    rounds, gradient/prox spans, the per-round objective breakdown — lands
     in the run report.
     """
     aligned = generate_aligned_pair(scale=scale, random_state=random_state)

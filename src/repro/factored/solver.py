@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.exceptions import OptimizationError
 from repro.factored.estimate import FactoredEstimate
-from repro.observability.tracer import Tracer, is_tracing
+from repro.observability.tracer import NULL_TRACER, Tracer
 from repro.optim.convergence import ConvergenceCriterion, IterationHistory
 from repro.optim.forward_backward import FactoredForwardBackwardSolver
 from repro.optim.losses import FactoredSmoothObjective
@@ -113,10 +113,10 @@ class FactoredSolver:
     ) -> FactoredResult:
         """Run the outer loop from ``initial`` (default: ``S₀ = A``).
 
-        Under a live ``tracer`` every outer round becomes a
-        ``cccp_round`` span and each inner iteration record is stamped
-        with its 1-based round index, mirroring the dense solver's
-        telemetry shape.
+        Every outer round is a ``cccp_round`` span, each inner iteration
+        record is stamped with its 1-based round index and the tracer
+        collects every record, mirroring the dense solver's telemetry
+        shape.  The objective is not evaluated on this path.
         """
         if initial is None:
             current = FactoredEstimate.from_sparse(self.objective.adjacency)
@@ -131,27 +131,23 @@ class FactoredSolver:
         round_norms: list = []
         converged = False
         n_rounds = 0
-        tracing = is_tracing(tracer)
+        tracer = NULL_TRACER if tracer is None else tracer
         for _ in range(self.outer_criterion.max_iterations):
             n_rounds += 1
             previous = current
-            if tracing:
-                iterations_before = history.n_iterations
-                with tracer.span("cccp_round"):
-                    current = self.inner_solver.solve(
-                        previous,
-                        self.objective,
-                        self.prox_terms,
-                        history=history,
-                        tracer=tracer,
-                    )
-                tracer.count("cccp.rounds")
-                for record in history.records[iterations_before:]:
-                    record.round = n_rounds
-            else:
+            first_record = history.n_iterations
+            with tracer.span("cccp_round"):
                 current = self.inner_solver.solve(
-                    previous, self.objective, self.prox_terms, history=history
+                    previous,
+                    self.objective,
+                    self.prox_terms,
+                    history=history,
+                    tracer=tracer,
                 )
+            tracer.count("cccp.rounds")
+            for record in history.records[first_record:]:
+                record.round = n_rounds
+                tracer.record_iteration(record)
             round_norms.append(float(np.sqrt(current.frobenius_sq())))
             if self.outer_criterion.satisfied_value(
                 current.delta_frobenius(previous)

@@ -52,7 +52,7 @@ from repro.features.intimacy import IntimacyFeatureExtractor
 from repro.features.tensor import FeatureTensor
 from repro.models.base import MatrixPredictor, TransferTask
 from repro.observability.report import RunReport, build_run_report
-from repro.observability.tracer import NullTracer, Tracer, is_tracing
+from repro.observability.tracer import NULL_TRACER, Tracer, is_tracing
 from repro.optim.cccp import CCCPResult, CCCPSolver
 from repro.optim.convergence import ConvergenceCriterion
 from repro.optim.forward_backward import ForwardBackwardSolver
@@ -322,7 +322,7 @@ class SlamPred(MatrixPredictor):
     @property
     def _tracer(self) -> Tracer:
         """The configured tracer, or the shared free null tracer."""
-        return self.tracer if self.tracer is not None else _NULL_TRACER
+        return self.tracer if self.tracer is not None else NULL_TRACER
 
     def run_report(self, name: str = None, meta: dict = None) -> RunReport:
         """Archive the traced fit as a :class:`~repro.observability.RunReport`.
@@ -829,9 +829,6 @@ class SlamPredH(SlamPred):
     def __init__(self, **kwargs):
         kwargs.setdefault("display_name", "SLAMPRED-H")
         super().__init__(use_attributes=False, use_sources=False, **kwargs)
-
-
-_NULL_TRACER = NullTracer()
 
 
 def _calibration_pairs(graph, random_state):

@@ -33,8 +33,8 @@ The subsystem is a **two-tier pipeline** (DESIGN.md §15):
 
 Every solver entry point (``ForwardBackwardSolver.solve``,
 ``CCCPSolver.solve``, ``SlamPred(tracer=...)``, ``evaluate_model``) accepts
-an optional tracer; passing ``None`` (the default) keeps the hot path
-untouched.  A tracer built with ``Tracer(registry=...)`` additionally
+an optional tracer; passing ``None`` (the default) runs the same loop on
+the shared null tracer, and a live tracer only observes it.  A tracer built with ``Tracer(registry=...)`` additionally
 publishes solver series (``solver.svt_seconds``, ``solver.objective``,
 ``solver.rank``) into the registry the serving stack scrapes.  See
 DESIGN.md §"Telemetry & run reports", §"Metrics, logs & tracing" and

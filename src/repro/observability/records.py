@@ -7,9 +7,12 @@ run.  The record is the single source of truth for iteration diagnostics:
 :class:`~repro.observability.tracer.Tracer` shares the same objects, so the
 legacy history API and the run report can never drift apart.
 
-The fields beyond the two Figure-3 norms are only populated when a live
-tracer is attached to the solver — the untraced path records exactly what
-the seed implementation recorded.
+Every record carries the two Figure-3 norms and, inside a CCCP run, its
+round.  Under a live tracer the CCCP driver also evaluates the objective
+once per round, on the round's last iterate, and writes it to that round's
+last record.  Per-apply SVT diagnostics (retained rank, threshold, tail
+singular value) live in the tracer's ``svt.*`` metric streams and per-phase
+wall-clock in its span tree, not on the records.
 """
 
 from __future__ import annotations
@@ -32,28 +35,14 @@ class IterationRecord:
         ``‖S^h − S^{h−1}‖₁`` (Figure 3, right panel — the convergence
         criterion quantity).
     objective:
-        Total objective value, when the solver evaluated it.
+        Total objective value; set on the last record of each CCCP round
+        under a live tracer.
     objective_terms:
-        Objective broken out per term (smooth losses and regularizers),
-        keyed by term name; populated only under a live tracer.
+        The same objective broken out per term (smooth losses and
+        regularizers), keyed by term name.
     round:
         CCCP outer-round index (1-based) the iteration belongs to, or
         ``None`` when the solver ran outside a CCCP loop.
-    step_size:
-        Gradient step size θ used for the iteration.
-    svd_rank:
-        Number of singular values retained by the trace-norm prox
-        (the effective rank of the low-rank component).
-    svd_tail:
-        The first singular value *not* retained — the (rank+1)-th value on
-        the truncated path, or the largest thresholded-away value on the
-        dense path.  Comparing it to ``svd_threshold`` shows whether the
-        truncated-SVT approximation was lossy.
-    svd_threshold:
-        The effective singular-value threshold ``step · τ`` of the prox.
-    phase_seconds:
-        Wall-clock seconds per phase of the iteration (``gradient``, one
-        entry per prox apply).
     """
 
     iteration: int
@@ -62,11 +51,6 @@ class IterationRecord:
     objective: Optional[float] = None
     objective_terms: Dict[str, float] = field(default_factory=dict)
     round: Optional[int] = None
-    step_size: Optional[float] = None
-    svd_rank: Optional[int] = None
-    svd_tail: Optional[float] = None
-    svd_threshold: Optional[float] = None
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-compatible view (``None`` fields are dropped for brevity)."""
@@ -84,17 +68,4 @@ class IterationRecord:
             }
         if self.round is not None:
             payload["round"] = int(self.round)
-        if self.step_size is not None:
-            payload["step_size"] = float(self.step_size)
-        if self.svd_rank is not None:
-            payload["svd_rank"] = int(self.svd_rank)
-        if self.svd_tail is not None:
-            payload["svd_tail"] = float(self.svd_tail)
-        if self.svd_threshold is not None:
-            payload["svd_threshold"] = float(self.svd_threshold)
-        if self.phase_seconds:
-            payload["phase_seconds"] = {
-                name: float(value)
-                for name, value in self.phase_seconds.items()
-            }
         return payload

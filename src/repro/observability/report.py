@@ -121,15 +121,11 @@ class RunReport:
             lines.append(f"iterations: {len(self.iterations)}")
             if "objective" in final:
                 lines.append(f"final objective: {final['objective']:.6g}")
-            ranks = [
-                record["svd_rank"]
-                for record in self.iterations
-                if "svd_rank" in record
-            ]
+            ranks = self.metrics.get("svt.retained_rank")
             if ranks:
                 lines.append(
-                    f"retained SVD rank: first {ranks[0]}, "
-                    f"last {ranks[-1]}, max {max(ranks)}"
+                    f"retained SVD rank: first {int(ranks[0])}, "
+                    f"last {int(ranks[-1])}, max {int(max(ranks))}"
                 )
         if self.counters:
             lines.append("")

@@ -7,13 +7,14 @@ Two implementations share one interface:
   monotonic counters, named scalar metric streams and the shared
   per-iteration :class:`~repro.observability.records.IterationRecord` list.
 * :class:`NullTracer` — every operation is a no-op and ``enabled`` is
-  False, so instrumented code can gate any extra computation (objective
-  breakdowns, tail-singular-value probes) behind ``tracer.enabled`` and the
-  untraced hot path stays bit-identical to — and as fast as — the
-  uninstrumented code.
+  False, so instrumented code can gate any extra computation (the
+  per-round objective, tail-singular-value probes) behind
+  ``tracer.enabled`` and the untraced hot path stays bit-identical to —
+  and as fast as — the uninstrumented code.
 
-Solvers accept ``tracer=None`` and treat ``None`` like a null tracer, so
-callers never pay for observability they did not ask for.
+Solvers accept ``tracer=None`` and run on the shared :data:`NULL_TRACER`
+instead, so one loop serves traced and untraced runs and callers never
+pay for observability they did not ask for.
 """
 
 from __future__ import annotations
@@ -400,6 +401,10 @@ class NullTracer(Tracer):
     ):
         """Return the shared do-nothing hot-histogram handle."""
         return _NULL_CELL
+
+
+NULL_TRACER = NullTracer()
+"""The shared null tracer solvers fall back to when given ``None``."""
 
 
 def is_tracing(tracer: Optional[Tracer]) -> bool:

@@ -12,19 +12,23 @@ the unit box, ``∇v = Σ_k α_k Σ_c X̂^k(c, :, :)`` is the constant matrix th
 paper derives, so the linearization is exact; the outer loop still iterates
 (with a bounded inner budget per round) exactly as Algorithm 1 prescribes,
 and the per-round history reproduces the Figure 3 convergence curves.
+
+Under a live tracer the solver evaluates the objective ``u(S) − ⟨S, ∇v⟩``
+once per round, term by term, on the round's last iterate.  That is the
+quantity CCCP never increases from one round to the next.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import OptimizationError
-from repro.observability.tracer import Tracer, is_tracing
+from repro.observability.tracer import NULL_TRACER, Tracer, is_tracing
 from repro.optim.convergence import ConvergenceCriterion, IterationHistory
-from repro.optim.forward_backward import ForwardBackwardSolver
+from repro.optim.forward_backward import ForwardBackwardSolver, _term_labels
 from repro.optim.losses import (
     FusedSmoothObjective,
     LinearizedIntimacyTerm,
@@ -55,6 +59,14 @@ def _as_dense_gradient(intimacy_gradient):
             return None
         return np.asarray(intimacy_gradient.todense(), dtype=float)
     return np.asarray(intimacy_gradient, dtype=float)
+
+
+def _objective_terms(matrix, terms: Sequence) -> Dict[str, float]:
+    """Objective value per term, keyed by term label."""
+    return {
+        label: float(term.value(matrix))
+        for label, term in zip(_term_labels(terms), terms)
+    }
 
 
 @dataclass
@@ -145,9 +157,12 @@ class CCCPSolver:
     ) -> CCCPResult:
         """Run Algorithm 1 from ``initial`` (the paper initializes at ``A``).
 
-        Under a live ``tracer`` every outer round becomes a ``cccp_round``
-        span enclosing the inner solver's gradient/prox spans, and each
-        inner iteration record is stamped with its 1-based round index.
+        Every outer round is a ``cccp_round`` span enclosing the inner
+        solver's gradient/prox spans, and each inner iteration record is
+        stamped with its 1-based round index.  Under a live ``tracer`` the
+        round's last record also carries the objective, broken out per
+        term, evaluated once on the round's final iterate; the tracer
+        collects every record.
 
         With a :class:`~repro.reliability.CheckpointManager` as
         ``checkpoint``, the iterate is snapshotted after each outer round
@@ -156,6 +171,7 @@ class CCCPSolver:
         existing checkpoint resumes from it and reproduces the
         uninterrupted trajectory exactly.
         """
+        tracer = NULL_TRACER if tracer is None else tracer
         current = np.asarray(initial, dtype=float)
         if not is_square(current):
             raise OptimizationError(
@@ -177,8 +193,7 @@ class CCCPSolver:
                 current = saved.solution.copy()
                 resumed_norms = list(saved.round_norms)
                 start_round = resumed_from = saved.round_index
-                if is_tracing(tracer):
-                    tracer.count("cccp.resumes")
+                tracer.count("cccp.resumes")
         if self.intimacy_gradient is not None and (
             self.intimacy_gradient.shape != current.shape
         ):
@@ -200,32 +215,33 @@ class CCCPSolver:
         round_norms = resumed_norms
         converged = False
         n_rounds = start_round
-        tracing = is_tracing(tracer)
         for _ in range(self.outer_criterion.max_iterations - start_round):
             n_rounds += 1
             previous = current
-            if tracing:
-                iterations_before = history.n_iterations
-                with tracer.span("cccp_round"):
-                    current = self.inner_solver.solve(
-                        previous,
-                        smooth_terms,
-                        self.prox_terms,
-                        history=history,
-                        tracer=tracer,
-                    )
-                tracer.count("cccp.rounds")
-                for record in history.records[iterations_before:]:
-                    record.round = n_rounds
-            else:
+            first_record = history.n_iterations
+            with tracer.span("cccp_round"):
                 current = self.inner_solver.solve(
-                    previous, smooth_terms, self.prox_terms, history=history
+                    previous,
+                    smooth_terms,
+                    self.prox_terms,
+                    history=history,
+                    tracer=tracer,
                 )
+            tracer.count("cccp.rounds")
+            round_records = history.records[first_record:]
+            if round_records and is_tracing(tracer):
+                last = round_records[-1]
+                last.objective_terms = _objective_terms(
+                    current, smooth_terms + self.prox_terms
+                )
+                last.objective = float(sum(last.objective_terms.values()))
+            for record in round_records:
+                record.round = n_rounds
+                tracer.record_iteration(record)
             round_norms.append(float(np.abs(current).sum()))
             if checkpoint is not None and checkpoint.should_save(n_rounds):
                 checkpoint.save(n_rounds, current, round_norms)
-                if tracing:
-                    tracer.count("cccp.checkpoints")
+                tracer.count("cccp.checkpoints")
             if self.outer_criterion.satisfied(current, previous):
                 converged = True
                 break

@@ -35,8 +35,8 @@ class ConvergenceCriterion:
     def satisfied_value(self, update_norm: float) -> bool:
         """:meth:`satisfied` for a caller that already has the update norm.
 
-        The workspace-backed solver computes ``‖S^h − S^{h−1}‖₁`` through
-        its scratch buffer for the iteration record anyway; this avoids
+        The solvers compute ``‖S^h − S^{h−1}‖₁`` for the iteration record
+        anyway (the dense one through its scratch buffer); this avoids
         recomputing it (and the full-size temporary) here.
         """
         return update_norm < self.tolerance
@@ -64,7 +64,8 @@ class IterationHistory:
     update_norms:
         ``‖S^h − S^{h−1}‖₁`` per iteration (Figure 3, right panel).
     objective_values:
-        Objective value per iteration when the solver computed it.
+        The objective values recorded so far (under a live tracer the CCCP
+        driver records one per round).
     """
 
     def __init__(
@@ -116,38 +117,20 @@ class IterationHistory:
             if record.objective is not None
         ]
 
-    def record(
-        self,
-        current: np.ndarray,
-        previous: np.ndarray,
-        objective: float = None,
-    ) -> IterationRecord:
-        """Append one iteration's diagnostics; returns the new record.
-
-        Solvers enrich the returned record in place (objective breakdown,
-        SVD rank, phase timings) when tracing is enabled.
-        """
-        record = IterationRecord(
-            iteration=len(self.records),
-            variable_norm=l1_norm(current),
-            update_norm=l1_norm(current - previous),
-            objective=None if objective is None else float(objective),
-        )
-        self.records.append(record)
-        return record
-
     def record_norms(
-        self,
-        variable_norm: float,
-        update_norm: float,
-        objective: float = None,
+        self, variable_norm: float, update_norm: float
     ) -> IterationRecord:
-        """:meth:`record` for precomputed norms (allocation-free path)."""
+        """Append one iteration's norms; returns the new record.
+
+        Solvers compute both norms themselves (through workspace buffers
+        on the dense path, from factors on the factored one); the CCCP
+        driver later stamps the record's round and, under a live tracer,
+        the round's objective.
+        """
         record = IterationRecord(
             iteration=len(self.records),
             variable_norm=float(variable_norm),
             update_norm=float(update_norm),
-            objective=None if objective is None else float(objective),
         )
         self.records.append(record)
         return record

@@ -1,29 +1,32 @@
 """Forward-backward splitting solvers.
 
-Two solvers for ``min_S f(S) + Σ_i g_i(S)`` with smooth ``f`` and prox-able
-``g_i``:
+Three solvers for ``min_S f(S) + Σ_i g_i(S)`` with smooth ``f`` and
+prox-able ``g_i``:
 
 * :class:`ForwardBackwardSolver` — the scheme of the paper's Algorithm 1:
   one gradient step on ``f`` followed by sequentially applying each ``g_i``'s
   prox.  Exact when the proxes commute; with a small step (the paper uses
   θ = 0.001) the composition error is negligible, and this is what the paper
   runs.
+* :class:`FactoredForwardBackwardSolver` — the same iteration on a factored
+  iterate ``S = L + R`` (DESIGN.md §13).
 * :class:`GeneralizedForwardBackward` — the method of Raguet, Fadili & Peyré
   (2013) that handles q ≥ 2 non-smooth terms *exactly* by maintaining one
-  auxiliary variable per term.  Used by the ablation benchmark to check the
-  paper's sequential approximation costs nothing on this problem.
+  auxiliary variable per term.
 
-Both accept a list of smooth terms (objects with ``value``/``gradient``) and
-a list of prox terms (objects with ``value``/``apply``).
+The dense solvers accept a list of smooth terms (objects with
+``value``/``gradient``) and a list of prox terms (objects with
+``value``/``apply``).
 
-Both also accept an optional ``tracer``
-(:class:`~repro.observability.tracer.Tracer`).  Under a live tracer every
-iteration is wrapped in timed spans (gradient step, each prox apply), the
-objective is evaluated *per term* and the resulting breakdown, step size,
-retained SVD rank and phase wall-clock are written onto the
-:class:`~repro.observability.records.IterationRecord` shared with
-``history``.  With ``tracer=None`` (or a null tracer) none of that runs and
-the iterate sequence is bit-identical to the uninstrumented solver.
+Every solver runs one loop whether or not a tracer is attached.  The loop
+opens its ``gradient`` and ``prox:<Term>`` spans, counts iterations and
+step halvings, and hands the tracer to each prox, all on the
+:class:`~repro.observability.tracer.Tracer` it is given (the shared
+:data:`~repro.observability.tracer.NULL_TRACER` for ``tracer=None``).  A
+tracer observes the iteration and never changes it: the iterate sequence
+and the ``history`` norms are bit-identical with tracing on or off.  The
+objective is not evaluated here; the CCCP driver evaluates it once per
+round (:class:`~repro.optim.cccp.CCCPSolver`).
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import OptimizationError
-from repro.observability.records import IterationRecord
-from repro.observability.tracer import Tracer, is_tracing
+from repro.observability.tracer import NULL_TRACER, Tracer
 from repro.optim.convergence import ConvergenceCriterion, IterationHistory
 from repro.perf.workspace import FactoredWorkspace, Workspace
+from repro.utils.matrices import l1_norm
 from repro.utils.validation import check_positive
 
 
@@ -76,12 +79,6 @@ def _check_finite(matrix: np.ndarray, step_size: float) -> None:
         )
 
 
-def _total_objective(matrix, smooth_terms, prox_terms) -> float:
-    value = sum(term.value(matrix) for term in smooth_terms)
-    value += sum(term.value(matrix) for term in prox_terms)
-    return float(value)
-
-
 _OUT_SUPPORT: Dict[type, bool] = {}
 
 
@@ -101,22 +98,14 @@ def _accepts_out(term) -> bool:
 def _total_gradient(
     matrix,
     smooth_terms,
-    out: Optional[np.ndarray] = None,
-    scratch: Optional[np.ndarray] = None,
+    out: np.ndarray,
+    scratch: np.ndarray,
 ) -> np.ndarray:
-    """Summed smooth-term gradient, accumulated into ``out`` when given.
+    """Summed smooth-term gradient, accumulated into ``out``.
 
-    Without ``out`` this is the legacy allocating path (used by the traced
-    solver branch, whose numerics stay pinned by the golden regression).
-    With ``out`` the first term writes straight into the accumulator and
-    later terms route through ``scratch``, so no full-size temporary is
-    allocated.
+    The first term writes straight into the accumulator and later terms
+    route through ``scratch``, so no full-size temporary is allocated.
     """
-    if out is None:
-        gradient = np.zeros_like(matrix)
-        for term in smooth_terms:
-            gradient += term.gradient(matrix)
-        return gradient
     terms = list(smooth_terms)
     if not terms:
         out.fill(0.0)
@@ -126,7 +115,7 @@ def _total_gradient(
     else:
         np.copyto(out, terms[0].gradient(matrix))
     for term in terms[1:]:
-        if scratch is not None and _accepts_out(term):
+        if _accepts_out(term):
             out += term.gradient(matrix, out=scratch)
         else:
             out += term.gradient(matrix)
@@ -145,43 +134,9 @@ def _term_labels(terms: Sequence) -> List[str]:
     return labels
 
 
-def _accepts_tracer(prox) -> bool:
-    """Whether a prox term's ``apply`` takes the ``tracer`` keyword."""
-    try:
-        return "tracer" in inspect.signature(prox.apply).parameters
-    except (TypeError, ValueError):
-        return False
-
-
-def _objective_breakdown(
-    matrix, smooth_terms, prox_terms, smooth_labels, prox_labels
-) -> Dict[str, float]:
-    """Objective value per term, keyed by term label."""
-    breakdown = {}
-    for label, term in zip(smooth_labels, smooth_terms):
-        breakdown[label] = float(term.value(matrix))
-    for label, term in zip(prox_labels, prox_terms):
-        breakdown[label] = float(term.value(matrix))
-    return breakdown
-
-
-def _enrich_record(
-    record: IterationRecord,
-    tracer: Tracer,
-    step_size: float,
-    breakdown: Dict[str, float],
-    phase_seconds: Dict[str, float],
-    svt_samples_before: int,
-) -> None:
-    """Copy one traced iteration's extras onto its shared record."""
-    record.step_size = step_size
-    record.objective_terms = breakdown
-    record.phase_seconds = phase_seconds
-    if len(tracer.metrics.get("svt.retained_rank", ())) > svt_samples_before:
-        record.svd_rank = int(tracer.last_metric("svt.retained_rank"))
-        record.svd_tail = tracer.last_metric("svt.tail_singular_value")
-        record.svd_threshold = tracer.last_metric("svt.threshold")
-    tracer.record_iteration(record)
+def _prox_spans(prox_terms: Sequence) -> List[str]:
+    """Span name of each prox apply: ``prox:<Term>``."""
+    return [f"prox:{label}" for label in _term_labels(prox_terms)]
 
 
 class ForwardBackwardSolver:
@@ -193,28 +148,22 @@ class ForwardBackwardSolver:
         Learning rate θ; the paper uses 0.001.
     criterion:
         Stopping rule for the proximal iteration.
-    record_objective:
-        Whether to evaluate the full objective each iteration (costs an SVD
-        per trace-norm term; disable inside tight loops).  A live tracer
-        implies it — and additionally breaks the objective out per term.
     max_step_halvings:
-        Recovery budget when an iterate (or its objective) goes non-finite:
-        the step size is halved and the iteration re-taken from the last
-        good iterate, at most this many times, before the solver gives up
-        with :class:`~repro.exceptions.OptimizationError`.  Zero restores
-        the old fail-fast behaviour.
+        Recovery budget when an iterate goes non-finite: the step size is
+        halved and the iteration re-taken from the last good iterate, at
+        most this many times, before the solver gives up with
+        :class:`~repro.exceptions.OptimizationError`.  Zero restores the
+        old fail-fast behaviour.
     """
 
     def __init__(
         self,
         step_size: float = 1e-3,
         criterion: ConvergenceCriterion = None,
-        record_objective: bool = False,
         max_step_halvings: int = 3,
     ):
         self.step_size = check_positive(step_size, "step_size")
         self.criterion = criterion or ConvergenceCriterion()
-        self.record_objective = record_objective
         if max_step_halvings < 0:
             raise OptimizationError(
                 f"max_step_halvings must be >= 0, got {max_step_halvings}"
@@ -231,153 +180,64 @@ class ForwardBackwardSolver:
     ) -> np.ndarray:
         """Run the iteration from ``initial`` until convergence.
 
-        Returns the final iterate; per-iteration diagnostics are appended to
-        ``history`` when given, and to ``tracer`` when it is live.
+        Returns the final iterate; per-iteration norms are appended to
+        ``history`` when given.
 
-        The untraced branch runs on a preallocated :class:`Workspace`
-        (cached on the solver and reused across CCCP rounds): gradient
-        accumulation, the gradient step and the entry-wise proxes all
-        write into workspace buffers, so a steady-state iteration
-        allocates nothing beyond what the SVT itself produces.  The
-        iterate sequence is bit-identical to the legacy allocating loop.
+        The loop runs on a preallocated :class:`Workspace` (cached on the
+        solver and reused across CCCP rounds): gradient accumulation, the
+        gradient step and the entry-wise proxes all write into workspace
+        buffers, so a steady-state iteration allocates nothing beyond what
+        the SVT itself produces.  The iterate sequence is bit-identical to
+        the seed's allocating loop.
         """
         if not smooth_terms and not prox_terms:
             raise OptimizationError("nothing to optimize: no terms given")
+        tracer = NULL_TRACER if tracer is None else tracer
         current = np.asarray(initial, dtype=float).copy()
-        if is_tracing(tracer):
-            return self._solve_traced(
-                current, smooth_terms, prox_terms, history, tracer
-            )
-        return self._solve_fast(current, smooth_terms, prox_terms, history)
-
-    def _solve_fast(
-        self,
-        current: np.ndarray,
-        smooth_terms: Sequence,
-        prox_terms: Sequence,
-        history: Optional[IterationHistory],
-    ) -> np.ndarray:
-        """Workspace-backed loop (no tracer): the allocation-free path."""
         ws = Workspace.ensure(getattr(self, "_workspace", None), current)
         self._workspace = ws
         inplace_proxes = [
             getattr(prox, "apply_inplace", None) for prox in prox_terms
         ]
+        spans = _prox_spans(prox_terms)
         step = self.step_size
         halvings = 0
         for _ in range(self.criterion.max_iterations):
             previous = current
-            gradient = _total_gradient(
-                previous, smooth_terms, out=ws.gradient, scratch=ws.scratch
-            )
+            with tracer.span("gradient"):
+                gradient = _total_gradient(
+                    previous, smooth_terms, ws.gradient, ws.scratch
+                )
             # previous + (-step)·g is bitwise previous − step·g, and lets
             # the scale land in the gradient buffer we own.
             np.multiply(gradient, -step, out=gradient)
             buffer = ws.step_buffer(avoid=previous)
             np.add(previous, gradient, out=buffer)
             current = buffer
-            for prox, inplace in zip(prox_terms, inplace_proxes):
-                if inplace is not None:
-                    current = inplace(current, step, scratch=ws.scratch)
-                else:
-                    current = prox.apply(current, step)
+            for prox, inplace, span in zip(prox_terms, inplace_proxes, spans):
+                with tracer.span(span):
+                    if inplace is not None:
+                        current = inplace(
+                            current, step, scratch=ws.scratch, tracer=tracer
+                        )
+                    else:
+                        current = prox.apply(current, step, tracer=tracer)
             if _diverged(current):
                 if halvings < self.max_step_halvings:
                     halvings += 1
                     step *= 0.5
-                    current = previous
-                    continue
-                _check_finite(current, step)
-            update_norm = ws.l1_update_norm(current, previous)
-            if history is not None:
-                objective = (
-                    _total_objective(current, smooth_terms, prox_terms)
-                    if self.record_objective
-                    else None
-                )
-                history.record_norms(
-                    ws.l1_norm(current), update_norm, objective
-                )
-            if self.criterion.satisfied_value(update_norm):
-                break
-        if ws.owns(current):
-            current = current.copy()
-        return current
-
-    def _solve_traced(
-        self,
-        current: np.ndarray,
-        smooth_terms: Sequence,
-        prox_terms: Sequence,
-        history: Optional[IterationHistory],
-        tracer: Tracer,
-    ) -> np.ndarray:
-        """Instrumented loop — numerics pinned by the golden regression."""
-        smooth_labels = _term_labels(smooth_terms)
-        prox_labels = _term_labels(prox_terms)
-        prox_takes_tracer = [_accepts_tracer(p) for p in prox_terms]
-        step = self.step_size
-        halvings = 0
-
-        def _recover() -> bool:
-            """Halve the step after a non-finite iterate; False = give up."""
-            nonlocal step, halvings
-            if halvings >= self.max_step_halvings:
-                return False
-            halvings += 1
-            step *= 0.5
-            tracer.count("fb.step_halvings")
-            return True
-
-        for _ in range(self.criterion.max_iterations):
-            previous = current
-            phase_seconds: Dict[str, float] = {}
-            svt_before = len(tracer.metrics.get("svt.retained_rank", ()))
-            with tracer.span("gradient") as span:
-                gradient = _total_gradient(previous, smooth_terms)
-            phase_seconds["gradient"] = span.duration
-            current = previous - step * gradient
-            for i, prox in enumerate(prox_terms):
-                label = f"prox:{prox_labels[i]}"
-                with tracer.span(label) as span:
-                    if prox_takes_tracer[i]:
-                        current = prox.apply(
-                            current, step, tracer=tracer
-                        )
-                    else:
-                        current = prox.apply(current, step)
-                phase_seconds[label] = span.duration
-            if _diverged(current):
-                if _recover():
+                    tracer.count("fb.step_halvings")
                     current = previous
                     continue
                 _check_finite(current, step)
             tracer.count("fb.iterations")
-            breakdown = _objective_breakdown(
-                current, smooth_terms, prox_terms,
-                smooth_labels, prox_labels,
-            )
-            objective = float(sum(breakdown.values()))
-            if not np.isfinite(objective):
-                # The iterate is representable but the objective
-                # overflowed — same remedy as a diverged iterate.
-                if _recover():
-                    current = previous
-                    continue
-                raise OptimizationError(
-                    f"objective became non-finite ({objective}); "
-                    f"reduce step_size (currently {step}) below 2/L "
-                    "of the smooth term"
-                )
-            record = (history or IterationHistory()).record(
-                current, previous, objective
-            )
-            _enrich_record(
-                record, tracer, step, breakdown,
-                phase_seconds, svt_before,
-            )
-            if self.criterion.satisfied(current, previous):
+            update_norm = ws.l1_update_norm(current, previous)
+            if history is not None:
+                history.record_norms(ws.l1_norm(current), update_norm)
+            if self.criterion.satisfied_value(update_norm):
                 break
+        if ws.owns(current):
+            current = current.copy()
         return current
 
 
@@ -475,6 +335,9 @@ class FactoredForwardBackwardSolver:
             number with ``apply_values`` (entry-wise), in apply order.
         """
         trace_prox, entry_proxes = self._split_proxes(prox_terms)
+        tracer = NULL_TRACER if tracer is None else tracer
+        trace_span = _prox_spans([trace_prox])[0]
+        entry_spans = _prox_spans(entry_proxes)
         constant = objective.constant_sparse
         pattern = abs(constant)
         if initial.residual.nnz:
@@ -483,7 +346,6 @@ class FactoredForwardBackwardSolver:
             getattr(self, "_workspace", None), pattern
         )
         self._workspace = ws
-        tracing = is_tracing(tracer)
         current = initial
         # The previous iterate on Ω: its low-rank values (copied out of the
         # reused ``ws.values``), its residual data and its ‖L‖_F².
@@ -494,26 +356,24 @@ class FactoredForwardBackwardSolver:
         halvings = 0
         for _ in range(self.criterion.max_iterations):
             previous = current
-            forwarded = objective.gradient_step(previous, step)
-            if tracing:
-                with tracer.span("prox:TraceNormProx"):
-                    lowrank = trace_prox.apply_factored(
-                        forwarded, step, tracer=tracer
-                    )
-            else:
-                lowrank = trace_prox.apply_factored(forwarded, step)
+            with tracer.span("gradient"):
+                forwarded = objective.gradient_step(previous, step)
+            with tracer.span(trace_span):
+                lowrank = trace_prox.apply_factored(
+                    forwarded, step, tracer=tracer
+                )
             values = ws.lowrank_entries(lowrank)
             proxed = values
-            for prox in entry_proxes:
-                proxed = prox.apply_values(proxed, step)
+            for prox, span in zip(entry_proxes, entry_spans):
+                with tracer.span(span):
+                    proxed = prox.apply_values(proxed, step, tracer=tracer)
             correction = np.subtract(proxed, values)
             current = lowrank.with_residual(ws.residual_from(correction))
             if _diverged_factored(current):
                 if halvings < self.max_step_halvings:
                     halvings += 1
                     step *= 0.5
-                    if tracing:
-                        tracer.count("fb.step_halvings")
+                    tracer.count("fb.step_halvings")
                     current = previous
                     continue
                 raise OptimizationError(
@@ -534,8 +394,7 @@ class FactoredForwardBackwardSolver:
                 + 2.0 * float(delta_values @ delta_correction)
             )
             update_norm = float(np.sqrt(max(update_sq, 0.0)))
-            if tracing:
-                tracer.count("fb.iterations")
+            tracer.count("fb.iterations")
             if history is not None:
                 norm_sq = (
                     lowrank_sq
@@ -543,7 +402,7 @@ class FactoredForwardBackwardSolver:
                     + float(correction @ correction)
                 )
                 history.record_norms(
-                    float(np.sqrt(max(norm_sq, 0.0))), update_norm, None
+                    float(np.sqrt(max(norm_sq, 0.0))), update_norm
                 )
             np.copyto(previous_values, values)
             previous_correction = correction
@@ -562,7 +421,10 @@ class GeneralizedForwardBackward:
         x   ← Σ_i ω_i z_i
 
     with uniform weights ``ω_i = 1/q``.  Converges for ``θ < 2/L`` where L is
-    the Lipschitz constant of ``∇f``.
+    the Lipschitz constant of ``∇f``.  It is the exact-composition reference
+    for the sequential scheme of :class:`ForwardBackwardSolver`: the test
+    suite checks that both reach the same optimum on the paper's composite
+    problem (ℓ1 + box).
 
     Like :class:`ForwardBackwardSolver`, a non-finite iterate triggers a
     step-halving retry from the last good iterate (and auxiliaries), at
@@ -574,12 +436,10 @@ class GeneralizedForwardBackward:
         self,
         step_size: float = 1e-3,
         criterion: ConvergenceCriterion = None,
-        record_objective: bool = False,
         max_step_halvings: int = 3,
     ):
         self.step_size = check_positive(step_size, "step_size")
         self.criterion = criterion or ConvergenceCriterion()
-        self.record_objective = record_objective
         if max_step_halvings < 0:
             raise OptimizationError(
                 f"max_step_halvings must be >= 0, got {max_step_halvings}"
@@ -599,15 +459,14 @@ class GeneralizedForwardBackward:
             raise OptimizationError(
                 "GeneralizedForwardBackward needs at least one prox term"
             )
-        tracing = is_tracing(tracer)
-        if tracing:
-            smooth_labels = _term_labels(smooth_terms)
-            prox_labels = _term_labels(prox_terms)
-            prox_takes_tracer = [_accepts_tracer(p) for p in prox_terms]
+        tracer = NULL_TRACER if tracer is None else tracer
+        spans = _prox_spans(prox_terms)
         q = len(prox_terms)
         weight = 1.0 / q
         current = np.asarray(initial, dtype=float).copy()
         auxiliaries: List[np.ndarray] = [current.copy() for _ in range(q)]
+        gradient = np.empty_like(current)
+        scratch = np.empty_like(current)
         step = self.step_size
         halvings = 0
         for _ in range(self.criterion.max_iterations):
@@ -615,64 +474,29 @@ class GeneralizedForwardBackward:
             # Auxiliary updates rebind (never mutate), so a shallow list
             # copy is enough to restore them after a step-halving retry.
             old_auxiliaries = list(auxiliaries)
-            phase_seconds: Dict[str, float] = {}
-            if tracing:
-                svt_before = len(tracer.metrics.get("svt.retained_rank", ()))
-                with tracer.span("gradient") as span:
-                    gradient = _total_gradient(previous, smooth_terms)
-                phase_seconds["gradient"] = span.duration
-            else:
-                gradient = _total_gradient(previous, smooth_terms)
-            for i, prox in enumerate(prox_terms):
+            with tracer.span("gradient"):
+                _total_gradient(previous, smooth_terms, gradient, scratch)
+            for i, (prox, span) in enumerate(zip(prox_terms, spans)):
                 argument = 2.0 * previous - auxiliaries[i] - step * gradient
-                if tracing:
-                    label = f"prox:{prox_labels[i]}"
-                    with tracer.span(label) as span:
-                        if prox_takes_tracer[i]:
-                            stepped = prox.apply(
-                                argument, step / weight,
-                                tracer=tracer,
-                            )
-                        else:
-                            stepped = prox.apply(
-                                argument, step / weight
-                            )
-                    phase_seconds[label] = span.duration
-                else:
-                    stepped = prox.apply(argument, step / weight)
+                with tracer.span(span):
+                    stepped = prox.apply(
+                        argument, step / weight, tracer=tracer
+                    )
                 auxiliaries[i] = auxiliaries[i] + stepped - previous
             current = weight * np.sum(auxiliaries, axis=0)
             if _diverged(current):
                 if halvings < self.max_step_halvings:
                     halvings += 1
                     step *= 0.5
-                    if tracing:
-                        tracer.count("gfb.step_halvings")
+                    tracer.count("gfb.step_halvings")
                     auxiliaries = old_auxiliaries
                     current = previous
                     continue
                 _check_finite(current, step)
-            if tracing:
-                tracer.count("gfb.iterations")
-                breakdown = _objective_breakdown(
-                    current, smooth_terms, prox_terms,
-                    smooth_labels, prox_labels,
-                )
-                objective = float(sum(breakdown.values()))
-                record = (history or IterationHistory()).record(
-                    current, previous, objective
-                )
-                _enrich_record(
-                    record, tracer, step, breakdown,
-                    phase_seconds, svt_before,
-                )
-            elif history is not None:
-                objective = (
-                    _total_objective(current, smooth_terms, prox_terms)
-                    if self.record_objective
-                    else None
-                )
-                history.record(current, previous, objective)
-            if self.criterion.satisfied(current, previous):
+            tracer.count("gfb.iterations")
+            update_norm = l1_norm(current - previous)
+            if history is not None:
+                history.record_norms(l1_norm(current), update_norm)
+            if self.criterion.satisfied_value(update_norm):
                 break
         return current

@@ -9,8 +9,8 @@ with their proximal maps:
   ``prox_{τ‖·‖*}(S) = U diag((σᵢ − τ)₊) Vᵀ``
 
 Each operator is exposed both as a plain function and as a small callable
-class implementing a shared interface (``apply(matrix, step)``) plus the
-regularizer's ``value`` so solvers can report objective values.
+class implementing a shared interface (``apply(matrix, step, tracer=None)``)
+plus the regularizer's ``value`` so solvers can report objective values.
 
 Every operator accepts an optional ``tracer``
 (:class:`~repro.observability.tracer.Tracer`): when live, the SVT paths
@@ -304,9 +304,8 @@ class TraceNormProx:
         A stateful SVT operator (duck-typed; in practice
         :class:`~repro.perf.warm_svt.WarmStartSVT`) that takes over the
         proximal map.  The engine warm-starts each application from the
-        previous one and exposes the spectrum it computed, which
-        :meth:`value` reuses when asked about the exact array the engine
-        just produced — sparing the objective breakdown a second SVD.
+        previous one.  :meth:`value` does not consult it: the objective
+        is evaluated once per CCCP round, so one SVD there is cheap.
     """
 
     def __init__(self, weight: float, max_rank: int = None, engine=None):
@@ -317,21 +316,7 @@ class TraceNormProx:
         self.engine = engine
 
     def value(self, matrix: np.ndarray) -> float:
-        """Regularizer value ``τ‖S‖*``.
-
-        When ``matrix`` *is* the engine's most recent output — same
-        object, unmutated (the entry-wise ℓ1 norm doubles as a cheap
-        mutation fingerprint: both the soft threshold and the box
-        projection strictly decrease it whenever they change anything) —
-        the cached spectrum gives the exact value without an SVD.
-        """
-        engine = self.engine
-        if (
-            engine is not None
-            and engine.last_output is matrix
-            and float(np.abs(matrix).sum()) == engine.last_output_l1
-        ):
-            return self.weight * engine.last_output_trace_norm
+        """Regularizer value ``τ‖S‖*``."""
         return self.weight * trace_norm(matrix)
 
     def apply(

@@ -45,10 +45,9 @@ ill-conditioned), capped applications verify against the proportionate
 tolerances — that is what lets a warm start finish in a handful of
 power iterations where a cold Lanczos run pays hundreds of matvecs.
 
-The spectrum of each application is kept on the instance
-(:attr:`last_spectrum`, :attr:`last_output_trace_norm`) so objective
-evaluations can reuse it instead of paying a second SVD; see
-:meth:`repro.optim.proximal.TraceNormProx.value`.
+Between applications the engine keeps only its warm right subspace and
+its operating rank; it caches no output and no spectrum.  Per-apply
+diagnostics go to the tracer (``svt.*`` metrics) and to :attr:`stats`.
 
 Both range finders orthonormalize their tall, skinny sketch blocks with
 CholeskyQR2 (:func:`_tall_qr`): two passes of Gram matrix, Cholesky
@@ -212,12 +211,6 @@ class WarmStartSVT:
         if self.max_rank is not None:
             self.rank = min(self.rank, self.max_rank)
         self._subspace: Optional[np.ndarray] = None
-        # Spectrum cache of the most recent application.
-        self.last_output: Optional[np.ndarray] = None
-        self.last_output_l1: float = 0.0
-        self.last_output_trace_norm: float = 0.0
-        self.last_spectrum: Optional[np.ndarray] = None
-        self.last_threshold: float = 0.0
         self.stats: Dict[str, float] = {
             "applies": 0,
             "factored_applies": 0,
@@ -232,10 +225,8 @@ class WarmStartSVT:
         }
 
     def reset(self) -> None:
-        """Drop the warm subspace and spectrum cache (rank is kept)."""
+        """Drop the warm subspace (rank is kept)."""
         self._subspace = None
-        self.last_output = None
-        self.last_spectrum = None
 
     # ------------------------------------------------------------------
     def apply(
@@ -486,11 +477,6 @@ class WarmStartSVT:
         self._update_rank(retained, tracer)
         keep = min(singular.size, self.rank + self.oversample)
         self._subspace = vt[:keep].T.copy()
-        self.last_spectrum = singular.copy()
-        self.last_threshold = float(threshold)
-        self.last_output = output
-        self.last_output_trace_norm = float(shrunk[:retained].sum())
-        self.last_output_l1 = float(np.abs(output).sum())
         if is_tracing(tracer):
             tracer.metric("svt.adaptive_rank", self.rank)
             _record_svt_metrics(tracer, threshold, retained, tail)
@@ -724,13 +710,6 @@ class WarmStartSVT:
         self._update_rank(retained, tracer)
         keep = min(singular.size, self.rank + self.oversample)
         self._subspace = vt[:keep].T.copy()
-        self.last_spectrum = singular.copy()
-        self.last_threshold = float(threshold)
-        # No dense output exists on this path; the spectrum cache still
-        # serves trace-norm evaluations through the estimate's own ``s``.
-        self.last_output = None
-        self.last_output_trace_norm = float(shrunk[:retained].sum())
-        self.last_output_l1 = 0.0
         if is_tracing(tracer):
             tracer.metric("svt.adaptive_rank", self.rank)
             _record_svt_metrics(tracer, threshold, retained, tail)

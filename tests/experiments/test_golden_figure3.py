@@ -67,7 +67,33 @@ class TestGoldenFigure3:
         result, tracer = replay
         assert len(tracer.iterations) == golden["n_iterations"]
         assert tracer.counters["cccp.rounds"] == golden["n_rounds"]
-        # The records are the history's own objects, not copies.
-        assert all(
-            record.objective_terms for record in tracer.iterations
-        ), "traced records should carry the objective breakdown"
+        # Each round's objective breakdown sits on its last record only.
+        rounds = [record.round for record in tracer.iterations]
+        assert rounds == sorted(rounds)
+        assert set(rounds) == set(range(1, golden["n_rounds"] + 1))
+        for index, record in enumerate(tracer.iterations):
+            last_of_round = (
+                index + 1 == len(tracer.iterations)
+                or tracer.iterations[index + 1].round != record.round
+            )
+            assert bool(record.objective_terms) == last_of_round
+
+    def test_objective_never_rises_across_rounds(self, golden, replay):
+        """CCCP's DC objective is non-increasing from round to round."""
+        _, tracer = replay
+        objectives = [
+            record.objective
+            for record in tracer.iterations
+            if record.objective is not None
+        ]
+        assert len(objectives) == golden["n_rounds"]
+        for before, after in zip(objectives, objectives[1:]):
+            assert after <= before + 1e-9 * abs(before)
+
+
+def test_traced_and_untraced_histories_bit_equal(replay):
+    """Attaching a tracer changes no norm of the Figure 3 series."""
+    traced, _ = replay
+    untraced = run_figure3()
+    assert untraced["variable_norms"] == traced["variable_norms"]
+    assert untraced["update_norms"] == traced["update_norms"]

@@ -68,6 +68,10 @@ class TestTracerTransparency:
         untraced = _fit(fit_inputs)
         traced = _fit(fit_inputs, tracer=Tracer())
         assert np.array_equal(untraced.score_matrix, traced.score_matrix)
+        # The one solver loop: the Figure 3 norms match bit for bit.
+        mine, theirs = traced.result.history, untraced.result.history
+        assert mine.update_norms == theirs.update_norms
+        assert mine.variable_norms == theirs.variable_norms
 
     def test_null_tracer_does_not_change_solution(self, fit_inputs):
         untraced = _fit(fit_inputs)

@@ -157,3 +157,42 @@ class TestObjectiveMonotonicity:
             values.append(objective(current))
         for before, after in zip(values, values[1:]):
             assert after <= before + 1e-6
+
+
+class TestPerRoundObjective:
+    def test_traced_fit_evaluates_objective_once_per_round(
+        self, aligned, split, monkeypatch
+    ):
+        """A live tracer adds one objective evaluation per CCCP round."""
+        from repro.models.base import TransferTask
+        from repro.models.slampred import SlamPred
+        from repro.observability.tracer import Tracer
+
+        calls = []
+        original = TraceNormProx.value
+
+        def counting(self, matrix):
+            calls.append(matrix.shape)
+            return original(self, matrix)
+
+        monkeypatch.setattr(TraceNormProx, "value", counting)
+
+        def fit(tracer):
+            task = TransferTask(
+                target=aligned.target,
+                training_graph=split.training_graph,
+                sources=list(aligned.sources),
+                anchors=list(aligned.anchors),
+                random_state=np.random.default_rng(3),
+            )
+            model = SlamPred(
+                inner_iterations=4, outer_iterations=3, tracer=tracer
+            )
+            return model.fit(task)
+
+        fit(None)
+        assert calls == []
+        model = fit(Tracer())
+        assert model.result.n_rounds == 3
+        assert len(calls) == model.result.n_rounds
+        assert len(model.result.history.objective_values) == 3

@@ -36,22 +36,26 @@ class TestCriterion:
 class TestHistory:
     def test_record(self):
         history = IterationHistory()
-        history.record(np.ones((2, 2)), np.zeros((2, 2)))
+        record = history.record_norms(4.0, 2.5)
+        assert history.records == [record]
         assert history.variable_norms == [4.0]
-        assert history.update_norms == [4.0]
+        assert history.update_norms == [2.5]
         assert history.objective_values == []
 
     def test_record_with_objective(self):
+        """The CCCP driver writes a round's objective onto its last record."""
         history = IterationHistory()
-        history.record(np.ones((2, 2)), np.ones((2, 2)), objective=3.5)
+        history.record_norms(4.0, 1.0)
+        history.record_norms(4.0, 0.0).objective = 3.5
         assert history.objective_values == [3.5]
-        assert history.update_norms == [0.0]
+        assert history.update_norms == [1.0, 0.0]
 
     def test_n_iterations(self):
         history = IterationHistory()
         for _ in range(3):
-            history.record(np.zeros((1, 1)), np.zeros((1, 1)))
+            history.record_norms(0.0, 0.0)
         assert history.n_iterations == 3
+        assert [r.iteration for r in history.records] == [0, 1, 2]
 
     def test_extend(self):
         a = IterationHistory([1.0], [0.1], [5.0])

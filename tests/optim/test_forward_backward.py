@@ -85,21 +85,49 @@ class TestBehaviour:
         assert history.update_norms[-1] < history.update_norms[0]
 
     def test_objective_recording(self, rng):
-        target = rng.random((3, 3))
-        history = IterationHistory()
-        solver = ForwardBackwardSolver(
-            step_size=0.1,
-            criterion=ConvergenceCriterion(tolerance=1e-8, max_iterations=30),
-            record_objective=True,
+        """A traced CCCP run records the objective once per round.
+
+        The value sits on each round's last record, is broken out per
+        term, and never rises from one round to the next.
+        """
+        from repro.observability.tracer import Tracer
+        from repro.optim.cccp import CCCPSolver
+
+        target = rng.random((6, 6))
+        solver = CCCPSolver(
+            loss=SquaredFrobeniusLoss(target),
+            prox_terms=[L1Prox(0.1), BoxProjection(0.0, None)],
+            intimacy_gradient=rng.random((6, 6)) * 0.1,
+            inner_solver=ForwardBackwardSolver(
+                step_size=0.1,
+                criterion=ConvergenceCriterion(
+                    tolerance=1e-8, max_iterations=5
+                ),
+            ),
+            outer_criterion=ConvergenceCriterion(
+                tolerance=1e-8, max_iterations=4
+            ),
         )
-        solver.solve(
-            np.zeros((3, 3)),
-            [SquaredFrobeniusLoss(target)],
-            [L1Prox(0.1)],
-            history,
-        )
-        assert len(history.objective_values) == history.n_iterations
-        assert history.objective_values[-1] <= history.objective_values[0]
+        result = solver.solve(np.zeros((6, 6)), tracer=Tracer())
+        history = result.history
+        assert len(history.objective_values) == result.n_rounds == 4
+        for round_index in range(1, result.n_rounds + 1):
+            records = [r for r in history.records if r.round == round_index]
+            assert [r.objective is not None for r in records] == (
+                [False] * (len(records) - 1) + [True]
+            )
+            last = records[-1]
+            assert set(last.objective_terms) == {
+                "SquaredFrobeniusLoss",
+                "LinearizedIntimacyTerm",
+                "L1Prox",
+                "BoxProjection",
+            }
+            assert last.objective == pytest.approx(
+                sum(last.objective_terms.values())
+            )
+        objectives = history.objective_values
+        assert all(b <= a for a, b in zip(objectives, objectives[1:]))
 
     def test_max_iterations_respected(self, rng):
         target = rng.random((3, 3))

@@ -339,26 +339,6 @@ class TestTraceNormProxEngine:
         )
         assert engine.stats["applies"] == 1
 
-    def test_value_reuses_cached_spectrum(self, rng):
-        engine = WarmStartSVT()
-        prox = TraceNormProx(0.7, engine=engine)
-        matrix = rng.normal(size=(20, 20))
-        out = prox.apply(matrix, 0.5)
-        assert prox.value(out) == pytest.approx(0.7 * trace_norm(out))
-        # Plant a sentinel to prove the cached value (not an SVD) is used.
-        engine.last_output_trace_norm = 123.0
-        assert prox.value(out) == pytest.approx(0.7 * 123.0)
-
-    def test_value_cache_invalidated_by_mutation(self, rng):
-        engine = WarmStartSVT()
-        prox = TraceNormProx(1.0, engine=engine)
-        matrix = rng.normal(size=(20, 20))
-        out = prox.apply(matrix, 0.5)
-        engine.last_output_trace_norm = 123.0  # sentinel
-        out *= 0.5  # in-place mutation (what L1/box proxes do)
-        # The ℓ1 fingerprint changed, so the sentinel must be ignored.
-        assert prox.value(out) == pytest.approx(trace_norm(out))
-
     def test_value_without_engine_unchanged(self, rng):
         prox = TraceNormProx(0.3)
         matrix = rng.normal(size=(10, 10))

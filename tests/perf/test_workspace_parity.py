@@ -85,7 +85,7 @@ class TestBitwiseParity:
         assert not solver._workspace.owns(result)
 
     def test_history_norms_match_legacy(self, rng):
-        """record_norms must produce the same numbers history.record did."""
+        """record_norms must record the seed loop's l1 norms exactly."""
         adjacency, smooth, proxes = _problem(rng)
         criterion = ConvergenceCriterion(tolerance=1e-8, max_iterations=15)
         solver = ForwardBackwardSolver(step_size=0.05, criterion=criterion)
