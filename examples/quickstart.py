@@ -44,9 +44,10 @@ def main() -> None:
     split = k_fold_link_splits(graph, n_folds=5, random_state=7)[0]
     print(f"\nhidden test links: {len(split.test_links)}")
 
-    # 3. Fit SLAMPRED on the training view, with solver telemetry on.
-    #    (Omit the tracer — or pass NullTracer() — for the zero-overhead
-    #    path; the fitted S is bit-identical either way.)
+    # 3. Fit SLAMPRED on the training view, with solver telemetry on: the
+    #    fit runs in one trace of this tracer, which samples every trace by
+    #    default.  (Omit the tracer — or pass NullTracer() — for the
+    #    zero-overhead path; the fitted S is bit-identical either way.)
     task = TransferTask(
         target=target,
         training_graph=split.training_graph,
@@ -76,7 +77,7 @@ def main() -> None:
         i, j = candidates[idx]
         print(f"  ({i:3d}, {j:3d})  {candidate_scores[idx]:.3f}")
 
-    # 6. Archive the traced run as a schema-versioned JSON report and read
+    # 6. Archive the fit's trace as a schema-versioned JSON report and read
     #    it back: per-phase wall-clock, the retained SVD rank of every
     #    trace-norm prox apply, and the objective broken out by term.  The
     #    objective is evaluated once per CCCP round, on the round's last

@@ -17,7 +17,7 @@ from repro.evaluation.splits import LinkSplit
 from repro.exceptions import EvaluationError
 from repro.models.base import LinkPredictor, TransferTask
 from repro.networks.aligned import AlignedNetworks
-from repro.observability.tracer import Tracer, is_tracing
+from repro.observability.tracer import NULL_TRACER, Tracer, is_tracing
 from repro.utils.rng import RandomState, spawn_rngs
 
 DEFAULT_PRECISION_K = 100
@@ -68,19 +68,19 @@ def evaluate_model(
 ) -> FoldOutcome:
     """Fit ``model`` on the task and measure it on the split's test pairs.
 
-    Under a live ``tracer`` the fit and scoring phases are timed as
-    ``fit:<model>`` / ``score:<model>`` spans; a model that itself carries
-    no tracer still contributes its wall-clock to the harness report.
+    Under a live ``tracer`` the work runs in an ``evaluate`` trace (a
+    child span inside an experiment's trace) with the fit and scoring
+    phases timed as ``fit:<model>`` / ``score:<model>`` spans; a model
+    that itself carries no tracer still contributes its wall-clock to the
+    harness report.
     """
-    if is_tracing(tracer):
+    tracer = tracer if tracer is not None else NULL_TRACER
+    with tracer.trace("evaluate"):
         with tracer.span(f"fit:{model.name}"):
             model.fit(task)
         with tracer.span(f"score:{model.name}"):
             scores = model.score_pairs(split.test_pairs)
-        tracer.count("harness.fits")
-    else:
-        model.fit(task)
-        scores = model.score_pairs(split.test_pairs)
+    tracer.count("harness.fits")
     labels = split.test_labels
     metrics = {
         "auc": auc_score(scores, labels),

@@ -75,7 +75,8 @@ def run_with_report(
 
     Every registered runner accepts a ``tracer`` keyword, so the whole run
     — data generation, per-fold fits, CCCP rounds, prox/SVD spans — lands
-    in one schema-versioned JSON report written to ``report_path``
+    in one ``experiment:<name>`` trace and from there in one
+    schema-versioned JSON report written to ``report_path``
     (default: ``results/run_report.<name>.json``).  Returns the runner's
     structured result and the report.
 
@@ -92,12 +93,13 @@ def run_with_report(
     tracer = Tracer(registry=registry)
     with run_context() as run_id:
         _log.info("experiment started", experiment=name, **_loggable(kwargs))
-        with tracer.span(f"experiment:{name}"):
+        with tracer.trace(f"experiment:{name}") as trace:
             result = runner(tracer=tracer, **kwargs)
         _log.info("experiment finished", experiment=name)
+    tracer.drain()
     meta = {"experiment": name, "run_id": run_id}
     meta.update(_loggable(kwargs))
-    report = build_run_report(tracer, name=name, meta=meta)
+    report = build_run_report(trace, name=name, meta=meta)
     report.save(report_path or default_report_path(name))
     return result, report
 

@@ -52,7 +52,7 @@ from repro.features.intimacy import IntimacyFeatureExtractor
 from repro.features.tensor import FeatureTensor
 from repro.models.base import MatrixPredictor, TransferTask
 from repro.observability.report import RunReport, build_run_report
-from repro.observability.tracer import NULL_TRACER, Tracer, is_tracing
+from repro.observability.tracer import NULL_TRACER, Tracer
 from repro.optim.cccp import CCCPResult, CCCPSolver
 from repro.optim.convergence import ConvergenceCriterion
 from repro.optim.forward_backward import ForwardBackwardSolver
@@ -164,10 +164,11 @@ class SlamPred(MatrixPredictor):
     use_attributes, use_sources:
         Ablation switches (the -T / -H variants preset them).
     tracer:
-        Optional :class:`~repro.observability.Tracer`.  When live, the fit
-        is traced end to end (feature extraction → adaptation → CCCP rounds
-        → gradient/prox/SVD spans) and :meth:`run_report` can archive the
-        run; the default ``None`` (or a :class:`NullTracer`) keeps fitting
+        Optional :class:`~repro.observability.Tracer`.  When live, each
+        fit opens a ``fit`` trace (or a child span of the trace already
+        bound), traced end to end (feature extraction → adaptation → CCCP
+        rounds → gradient/prox/SVD spans), and :meth:`run_report` archives
+        it; the default ``None`` (or a :class:`NullTracer`) keeps fitting
         bit-identical to the uninstrumented model.
 
     Examples
@@ -274,6 +275,7 @@ class SlamPred(MatrixPredictor):
             self.n_jobs = check_integer(n_jobs, "n_jobs", minimum=1)
         self._display_name = display_name or self._default_name()
         self.tracer = tracer
+        self._trace = None
         self._result: Optional[CCCPResult] = None
         self._factored_estimate = None
         self._adapter: Optional[DomainAdapter] = None
@@ -327,13 +329,15 @@ class SlamPred(MatrixPredictor):
     def run_report(self, name: str = None, meta: dict = None) -> RunReport:
         """Archive the traced fit as a :class:`~repro.observability.RunReport`.
 
-        Requires the model to have been constructed with a live tracer and
-        fitted; the report carries the model configuration, the CCCP
-        outcome, the span tree and every iteration record.
+        Requires the model to have been fitted under a live tracer that
+        sampled the fit's trace; the report carries the model
+        configuration, the CCCP outcome, the trace's span tree and every
+        iteration record.  A fit nested in an enclosing trace (an
+        experiment) reports that whole trace.
         """
         if self._result is None:
             raise NotFittedError(f"{self.name} has not been fitted")
-        if not is_tracing(self.tracer):
+        if not self._trace.sampled:
             raise ConfigurationError(
                 "run_report needs a live tracer; construct the model with "
                 "tracer=Tracer()"
@@ -356,7 +360,9 @@ class SlamPred(MatrixPredictor):
         }
         merged_meta.update(meta or {})
         return build_run_report(
-            self.tracer, name=name or self.name, meta=merged_meta
+            self._trace,
+            name=name or self.name,
+            meta=merged_meta,
         )
 
     # ------------------------------------------------------------------
@@ -392,9 +398,12 @@ class SlamPred(MatrixPredictor):
                 checkpoint_dir, every=checkpoint_every
             )
         try:
-            return super().fit(task)
+            with self._tracer.trace("fit") as trace:
+                super().fit(task)
         finally:
             self._checkpoint_manager = None
+        self._trace = trace
+        return self
 
     def resume(
         self, task: TransferTask, checkpoint_dir: str
@@ -509,7 +518,9 @@ class SlamPred(MatrixPredictor):
             raise ConfigurationError(
                 f"adjacency must be square, got shape {matrix.shape}"
             )
-        self._fit_factored(matrix, None)
+        with self._tracer.trace("fit") as trace:
+            self._fit_factored(matrix, None)
+        self._trace = trace
         self._fitted = True
         return self
 

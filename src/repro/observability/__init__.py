@@ -10,14 +10,12 @@ The subsystem is a **two-tier pipeline** (DESIGN.md §15):
 * :mod:`repro.observability.metrics` — the cold tier: the scrapeable
   :class:`MetricsRegistry` (Counter/Gauge/Histogram with Prometheus text
   exposition) and the free :class:`NullRegistry`;
-* :mod:`repro.observability.tracer` — :class:`Tracer` (nested timed
-  spans, counters, metric streams) and the free :class:`NullTracer`;
-* :mod:`repro.observability.sampling` — :class:`SamplingTracer`:
-  deterministic hash-based head sampling per request with
-  always-sample-on-error, per-route rates and a bounded finished-trace
-  buffer;
-* :mod:`repro.observability.propagation` — :class:`TraceContext`
-  minted at the HTTP edge and re-bound across threads, the
+* :mod:`repro.observability.tracer` — :class:`Tracer`: a fit or a
+  request is one head-sampled :class:`ActiveTrace` (spans, metric
+  streams, iteration records) kept in a bounded buffer when sampled or
+  errored; the free :class:`NullTracer` records nothing;
+* :mod:`repro.observability.propagation` — the sampling decision and
+  :class:`TraceContext` minted at the HTTP edge and re-bound across threads, the
   micro-batcher and ``parallel_map_processes`` shard workers, so one
   request yields one stitched span tree;
 * :mod:`repro.observability.profiler` — :class:`ContinuousProfiler`, a
@@ -34,15 +32,22 @@ The subsystem is a **two-tier pipeline** (DESIGN.md §15):
 Every solver entry point (``ForwardBackwardSolver.solve``,
 ``CCCPSolver.solve``, ``SlamPred(tracer=...)``, ``evaluate_model``) accepts
 an optional tracer; passing ``None`` (the default) runs the same loop on
-the shared null tracer, and a live tracer only observes it.  A tracer built with ``Tracer(registry=...)`` additionally
-publishes solver series (``solver.svt_seconds``, ``solver.objective``,
+the shared null tracer, and a live tracer only observes it; fits,
+``evaluate_model`` and ``run_with_report`` each open a trace.  A tracer
+built with ``Tracer(registry=...)`` additionally publishes solver series (``solver.svt_seconds``, ``solver.objective``,
 ``solver.rank``) into the registry the serving stack scrapes.  See
 DESIGN.md §"Telemetry & run reports", §"Metrics, logs & tracing" and
 §15 "Two-tier telemetry".
 """
 
 from repro.observability.records import IterationRecord
-from repro.observability.tracer import NullTracer, Span, Tracer, is_tracing
+from repro.observability.tracer import (
+    ActiveTrace,
+    NullTracer,
+    Span,
+    Tracer,
+    is_tracing,
+)
 from repro.observability.metrics import (
     BATCH_SIZE_BUCKETS,
     DEFAULT_LATENCY_BUCKETS,
@@ -58,6 +63,7 @@ from repro.observability.cells import (
     StripedHistogram,
 )
 from repro.observability.propagation import (
+    DEFAULT_SAMPLE_RATE,
     RemoteTrace,
     TraceContext,
     activate_runtime_context,
@@ -69,11 +75,6 @@ from repro.observability.propagation import (
     new_trace_id,
     sampling_decision,
     sampling_threshold,
-)
-from repro.observability.sampling import (
-    DEFAULT_SAMPLE_RATE,
-    ActiveTrace,
-    SamplingTracer,
 )
 from repro.observability.profiler import (
     GLOBAL_PROFILER,
@@ -103,7 +104,6 @@ __all__ = [
     "NullTracer",
     "Span",
     "is_tracing",
-    "SamplingTracer",
     "ActiveTrace",
     "DEFAULT_SAMPLE_RATE",
     "MetricsRegistry",

@@ -325,9 +325,13 @@ class CellBank:
             counter_targets = dict(self._counter_targets)
             histogram_targets = dict(self._histogram_targets)
             sources = list(self._sources)
+        # Several hot names may roll up into one series: sum, then overwrite.
+        totals: Dict[str, List[Any]] = {}
         for name, (series, help) in counter_targets.items():
-            handle = registry.counter(series, help=help)
-            handle._unlabeled()._set_total(self._counters[name].total())
+            slot = totals.setdefault(series, [0.0, help])
+            slot[0] += self._counters[name].total()
+        for series, (total, help) in totals.items():
+            registry.counter(series, help=help)._unlabeled()._set_total(total)
         for name, (series, help) in histogram_targets.items():
             striped = self._histograms[name]
             handle = registry.histogram(

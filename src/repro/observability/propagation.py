@@ -36,6 +36,9 @@ from repro.observability.logging import (
 
 _SAMPLE_SCALE = 1 << 32
 
+#: Default head-sampling rate of a serving tracer (1 request in 100).
+DEFAULT_SAMPLE_RATE = 0.01
+
 
 def new_trace_id() -> str:
     """A fresh 64-bit lowercase-hex trace id."""
@@ -56,6 +59,15 @@ def sampling_threshold(rate: float) -> int:
     return int(rate * _SAMPLE_SCALE)
 
 
+def sampled_below(trace_id: str, threshold: int) -> bool:
+    """:func:`sampling_decision` against a precomputed threshold."""
+    if threshold >= _SAMPLE_SCALE:
+        return True
+    if threshold <= 0:
+        return False
+    return (zlib.crc32(trace_id.encode("utf-8")) & 0xFFFFFFFF) < threshold
+
+
 def sampling_decision(trace_id: str, rate: float) -> bool:
     """Deterministic head-sampling decision for ``trace_id`` at ``rate``.
 
@@ -64,12 +76,7 @@ def sampling_decision(trace_id: str, rate: float) -> bool:
     batcher, shard worker — independently reaches the same verdict, and
     a trace seen in the buffer can be replayed from its id alone.
     """
-    threshold = sampling_threshold(rate)
-    if threshold >= _SAMPLE_SCALE:
-        return True
-    if threshold <= 0:
-        return False
-    return (zlib.crc32(trace_id.encode("utf-8")) & 0xFFFFFFFF) < threshold
+    return sampled_below(trace_id, sampling_threshold(rate))
 
 
 class TraceContext:

@@ -4,14 +4,14 @@ One :class:`IterationRecord` is produced per proximal iteration of a solver
 run.  The record is the single source of truth for iteration diagnostics:
 :class:`~repro.optim.convergence.IterationHistory` stores these records (its
 ``variable_norms`` / ``update_norms`` views are derived from them) and the
-:class:`~repro.observability.tracer.Tracer` shares the same objects, so the
-legacy history API and the run report can never drift apart.
+fit's :class:`~repro.observability.tracer.ActiveTrace` shares the same
+objects, so the legacy history API and the run report can never drift apart.
 
 Every record carries the two Figure-3 norms and, inside a CCCP run, its
 round.  Under a live tracer the CCCP driver also evaluates the objective
 once per round, on the round's last iterate, and writes it to that round's
 last record.  Per-apply SVT diagnostics (retained rank, threshold, tail
-singular value) live in the tracer's ``svt.*`` metric streams and per-phase
+singular value) live in the trace's ``svt.*`` metric streams and per-phase
 wall-clock in its span tree, not on the records.
 """
 

@@ -1,7 +1,7 @@
-"""Machine-readable run reports built from a :class:`Tracer`.
+"""Machine-readable run reports built from a finished trace.
 
 A :class:`RunReport` is the archival form of one traced solver/experiment
-run: schema-versioned JSON (written next to ``results/`` by convention) plus
+run (one :class:`~repro.observability.tracer.ActiveTrace`): schema-versioned JSON (written next to ``results/`` by convention) plus
 a human ``summary()`` table.  The schema is deliberately flat:
 
 .. code-block:: text
@@ -10,7 +10,8 @@ a human ``summary()`` table.  The schema is deliberately flat:
       "schema_version": 1,
       "name": "<run name>",
       "meta": {...},                      # caller-supplied context
-      "spans": [...],                     # nested {name, seconds, children}
+      "spans": [...],                     # the trace's root: nested
+                                          # {name, seconds, children}
       "phase_totals": {name: {count, seconds}},
       "counters": {name: int},
       "metrics": {name: [float, ...]},
@@ -28,7 +29,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.observability.tracer import Tracer
+from repro.observability.tracer import ActiveTrace
 
 SCHEMA_VERSION = 1
 """Version of the run-report JSON layout."""
@@ -135,19 +136,28 @@ class RunReport:
 
 
 def build_run_report(
-    tracer: Tracer,
+    trace: ActiveTrace,
     name: str,
     meta: Optional[Dict[str, Any]] = None,
 ) -> RunReport:
-    """Snapshot a tracer's collected telemetry into a :class:`RunReport`."""
+    """Snapshot one finished trace into a :class:`RunReport`.
+
+    Counters are tracer-wide (striped cells, not per trace), so the report
+    takes its tracer's, less the ``trace.*`` tallies, which count traces
+    rather than events of the run.
+    """
     return RunReport(
         name=name,
         meta=dict(meta or {}),
-        spans=[root.to_dict() for root in tracer.roots],
-        phase_totals=tracer.phase_totals(),
-        counters=dict(tracer.counters),
-        metrics={k: list(v) for k, v in tracer.metrics.items()},
-        iterations=[record.to_dict() for record in tracer.iterations],
+        spans=[] if trace.root is None else [trace.root.to_dict()],
+        phase_totals=trace.phase_totals(),
+        counters={
+            key: value
+            for key, value in trace.tracer.counters.items()
+            if not key.startswith("trace.")
+        },
+        metrics={k: list(v) for k, v in trace.metrics.items()},
+        iterations=[record.to_dict() for record in trace.iterations],
     )
 
 

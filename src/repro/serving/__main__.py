@@ -27,8 +27,8 @@ from repro.observability.cells import CellAggregator, CellBank
 from repro.observability.logging import configure_logging
 from repro.observability.metrics import MetricsRegistry, NullRegistry
 from repro.observability.profiler import global_profiler
-from repro.observability.sampling import DEFAULT_SAMPLE_RATE, SamplingTracer
-from repro.observability.tracer import NullTracer
+from repro.observability.propagation import DEFAULT_SAMPLE_RATE
+from repro.observability.tracer import NullTracer, Tracer
 from repro.reliability.faults import configure_from_env
 from repro.serving.aio import AsyncLinkPredictionServer
 from repro.serving.artifacts import ArtifactStore
@@ -287,7 +287,7 @@ def run_serve(args: argparse.Namespace) -> int:
         registry = MetricsRegistry()
         cells = CellBank(registry)
         route_rates = _parse_route_rates(args.trace_route_rate)
-        tracer = SamplingTracer(
+        tracer = Tracer(
             registry,
             default_rate=args.trace_sample_rate,
             route_rates=route_rates,

@@ -16,8 +16,8 @@ logging context, so records from every layer below carry it; the
 response echoes it as ``X-Request-Id``.  An incoming
 ``X-Trace-Context`` header (or a freshly minted
 :class:`~repro.observability.propagation.TraceContext`) parents one
-request trace on the service's tracer — head-sampled under a
-:class:`~repro.observability.sampling.SamplingTracer`, with any 5xx
+request trace on the service's
+:class:`~repro.observability.tracer.Tracer` — head-sampled, with any 5xx
 promoting it to an always-captured error trace — and is echoed back as
 ``X-Trace-Context``.
 

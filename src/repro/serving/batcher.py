@@ -216,7 +216,6 @@ class MicroBatcher:
         tracer = self.service.tracer
         tracer.count("batcher.batches")
         tracer.count("batcher.requests", len(batch))
-        tracer.metric("batcher.batch_size", len(batch))
         self._m_batches.inc()
         self._m_requests.inc(len(batch))
         self._m_batch_size.observe(len(batch))

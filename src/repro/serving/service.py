@@ -34,7 +34,7 @@ from repro.exceptions import (
 from repro.observability.cells import CellBank
 from repro.observability.logging import get_logger
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.sampling import SamplingTracer
+from repro.observability.propagation import DEFAULT_SAMPLE_RATE
 from repro.observability.tracer import Tracer
 from repro.reliability.breaker import OPEN, CircuitBreaker
 from repro.reliability.faults import fault_point
@@ -74,12 +74,15 @@ class LinkPredictionService:
     cache_size:
         Capacity of the per-user ranking cache.
     tracer:
-        Telemetry sink; a fresh
-        :class:`~repro.observability.sampling.SamplingTracer` (striped
-        counters, head-sampled spans) is created when omitted so
-        ``stats()`` always has counters to report while the hot path
-        stays lock-free.  Pass a plain :class:`Tracer` to capture every
-        span unconditionally.
+        Telemetry sink; a fresh :class:`~repro.observability.Tracer`
+        sampling requests at
+        :data:`~repro.observability.propagation.DEFAULT_SAMPLE_RATE`
+        (striped counters, head-sampled spans) is created when omitted
+        so ``stats()`` always has counters to report while the hot path
+        stays lock-free.  Pass ``Tracer()`` to record every request's
+        span tree; the finished-trace buffer stays bounded either way.
+        A tracer built without a registry is attached to ``registry``,
+        cells included, so its series reach ``/metrics``.
     version:
         Pin an explicit artifact version instead of the latest.
     registry:
@@ -143,7 +146,11 @@ class LinkPredictionService:
         self.tracer = (
             tracer
             if tracer is not None
-            else SamplingTracer(self.registry, cells=self.cells)
+            else Tracer(
+                self.registry,
+                default_rate=DEFAULT_SAMPLE_RATE,
+                cells=self.cells,
+            )
         )
         if self.tracer.registry is None and self.tracer.enabled:
             self.tracer.registry = self.registry
@@ -506,9 +513,7 @@ class LinkPredictionService:
         """
         self.observe_uptime()
         self.cells.drain()
-        tracer_drain = getattr(self.tracer, "drain", None)
-        if tracer_drain is not None:
-            tracer_drain()
+        self.tracer.drain()
         return self.registry.render()
 
     def stats(self) -> Dict:

@@ -350,7 +350,14 @@ class ShardedSlamPred:
             planted labels from the synthetic generator are both cheaper
             and better aligned with the generative structure when
             available.
+
+        The fit runs in a ``fit`` trace of the model's tracer (a child
+        span when a trace of that tracer is already bound).
         """
+        with self.tracer.trace("fit"):
+            return self._fit(adjacency, labels)
+
+    def _fit(self, adjacency, labels) -> "ShardedSlamPred":
         matrix = sparse.csr_matrix(adjacency, dtype=float)
         if matrix.shape[0] != matrix.shape[1]:
             raise ConfigurationError(

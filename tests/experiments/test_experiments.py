@@ -85,6 +85,31 @@ class TestFigure3:
         assert "Figure 3" in result["text"]
 
 
+class TestRunWithReport:
+    def test_experiment_fit_nests_in_one_trace(self, tmp_path):
+        from repro.experiments.registry import run_with_report
+        from repro.observability.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        result, report = run_with_report(
+            "figure3",
+            report_path=str(tmp_path / "report.json"),
+            registry=registry,
+            scale=40,
+            inner_iterations=3,
+            outer_iterations=2,
+        )
+        (root,) = report.spans
+        assert root["name"] == "request.experiment:figure3"
+        (fit,) = root["children"]
+        assert fit["name"] == "fit"
+        assert [child["name"] for child in fit["children"]][-1] == "cccp"
+        assert len(report.iterations) == result["n_iterations"]
+        # Striped counters are drained into the registry after the run.
+        rounds = registry.get("solver.cccp_rounds").value
+        assert rounds == report.counters["cccp.rounds"] == result["n_rounds"]
+
+
 class TestAlphaFigures:
     def test_figure4_curves(self):
         result = run_figure4(

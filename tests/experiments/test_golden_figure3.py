@@ -34,7 +34,8 @@ def replay():
     """One traced replay shared by every assertion in the module."""
     tracer = Tracer()
     result = run_figure3(tracer=tracer)
-    return result, tracer
+    (trace,) = tracer.finished()
+    return result, (trace, tracer)
 
 
 class TestGoldenFigure3:
@@ -64,26 +65,26 @@ class TestGoldenFigure3:
 
     def test_telemetry_covers_every_iteration(self, golden, replay):
         """The tracer sees exactly the iterations the history records."""
-        result, tracer = replay
-        assert len(tracer.iterations) == golden["n_iterations"]
+        result, (trace, tracer) = replay
+        assert len(trace.iterations) == golden["n_iterations"]
         assert tracer.counters["cccp.rounds"] == golden["n_rounds"]
         # Each round's objective breakdown sits on its last record only.
-        rounds = [record.round for record in tracer.iterations]
+        rounds = [record.round for record in trace.iterations]
         assert rounds == sorted(rounds)
         assert set(rounds) == set(range(1, golden["n_rounds"] + 1))
-        for index, record in enumerate(tracer.iterations):
+        for index, record in enumerate(trace.iterations):
             last_of_round = (
-                index + 1 == len(tracer.iterations)
-                or tracer.iterations[index + 1].round != record.round
+                index + 1 == len(trace.iterations)
+                or trace.iterations[index + 1].round != record.round
             )
             assert bool(record.objective_terms) == last_of_round
 
     def test_objective_never_rises_across_rounds(self, golden, replay):
         """CCCP's DC objective is non-increasing from round to round."""
-        _, tracer = replay
+        _, (trace, _) = replay
         objectives = [
             record.objective
-            for record in tracer.iterations
+            for record in trace.iterations
             if record.objective is not None
         ]
         assert len(objectives) == golden["n_rounds"]

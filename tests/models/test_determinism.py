@@ -52,7 +52,9 @@ class TestSeedDeterminism:
     def test_same_seed_identical_telemetry(self, fit_inputs):
         first = _fit(fit_inputs, tracer=Tracer())
         second = _fit(fit_inputs, tracer=Tracer())
-        assert len(first.tracer.iterations) == len(second.tracer.iterations)
+        assert len(first.tracer.finished()[-1].iterations) == len(
+            second.tracer.finished()[-1].iterations
+        )
         assert first.tracer.counters == second.tracer.counters
         assert np.array_equal(first.score_matrix, second.score_matrix)
 
@@ -81,8 +83,8 @@ class TestTracerTransparency:
     def test_tracer_and_history_share_iteration_records(self, fit_inputs):
         traced = _fit(fit_inputs, tracer=Tracer())
         history = traced.result.history
-        assert len(traced.tracer.iterations) == history.n_iterations
+        records = traced.tracer.finished()[-1].iterations
+        assert len(records) == history.n_iterations
         assert all(
-            mine is theirs
-            for mine, theirs in zip(traced.tracer.iterations, history.records)
+            mine is theirs for mine, theirs in zip(records, history.records)
         )

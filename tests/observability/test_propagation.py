@@ -15,7 +15,7 @@ from repro.observability.propagation import (
     new_span_id,
     new_trace_id,
 )
-from repro.observability.sampling import SamplingTracer
+from repro.observability.tracer import Tracer
 from repro.perf.parallel import parallel_map, parallel_map_processes
 
 
@@ -131,7 +131,7 @@ class TestPoolPropagation:
         assert results == [(None, None)] * 2
 
     def test_active_trace_context_reaches_thread_workers(self):
-        tracer = SamplingTracer(MetricsRegistry(), default_rate=1.0)
+        tracer = Tracer(MetricsRegistry(), default_rate=1.0)
         with tracer.trace("topk") as trace:
             results, _ = parallel_map(
                 _worker_runtime, [0], max_workers=1

@@ -18,34 +18,41 @@ from repro.observability.tracer import Tracer
 @pytest.fixture()
 def traced_run():
     tracer = Tracer()
-    with tracer.span("cccp"):
-        with tracer.span("gradient"):
-            pass
-        with tracer.span("prox:TraceNormProx"):
-            tracer.metric("svt.retained_rank", 7)
-    tracer.count("fb.iterations", 3)
-    record = IterationRecord(
-        iteration=0,
-        variable_norm=10.0,
-        update_norm=1.0,
-        objective=5.5,
-        objective_terms={"loss": 5.0, "l1": 0.5},
-        round=1,
-    )
-    tracer.record_iteration(record)
-    return tracer
+    with tracer.trace("fit") as trace:
+        with tracer.span("cccp"):
+            with tracer.span("gradient"):
+                pass
+            with tracer.span("prox:TraceNormProx"):
+                tracer.metric("svt.retained_rank", 7)
+        tracer.count("fb.iterations", 3)
+        record = IterationRecord(
+            iteration=0,
+            variable_norm=10.0,
+            update_norm=1.0,
+            objective=5.5,
+            objective_terms={"loss": 5.0, "l1": 0.5},
+            round=1,
+        )
+        tracer.record_iteration(record)
+    return tracer, trace
+
+
+def _report(traced_run, **kwargs):
+    tracer, trace = traced_run
+    return build_run_report(trace, **kwargs)
 
 
 class TestBuildAndSchema:
     def test_schema_version_stamped(self, traced_run):
-        report = build_run_report(traced_run, name="unit")
+        report = _report(traced_run, name="unit")
         assert report.schema_version == SCHEMA_VERSION
         assert report.to_dict()["schema_version"] == SCHEMA_VERSION
 
     def test_collects_all_channels(self, traced_run):
-        report = build_run_report(traced_run, name="unit", meta={"k": 1})
+        report = _report(traced_run, name="unit", meta={"k": 1})
         assert report.meta == {"k": 1}
-        assert report.spans[0]["name"] == "cccp"
+        assert report.spans[0]["name"] == "request.fit"
+        assert report.spans[0]["children"][0]["name"] == "cccp"
         assert report.counters == {"fb.iterations": 3}
         assert report.metrics["svt.retained_rank"] == [7.0]
         assert report.iterations[0]["objective_terms"] == {
@@ -55,22 +62,23 @@ class TestBuildAndSchema:
         assert report.phase_totals["prox:TraceNormProx"]["count"] == 1
 
     def test_snapshot_is_decoupled(self, traced_run):
-        report = build_run_report(traced_run, name="unit")
-        traced_run.count("fb.iterations")
-        traced_run.metric("svt.retained_rank", 6)
+        report = _report(traced_run, name="unit")
+        tracer, trace = traced_run
+        tracer.count("fb.iterations")
+        trace.add_metric("svt.retained_rank", 6)
         assert report.counters == {"fb.iterations": 3}
         assert report.metrics["svt.retained_rank"] == [7.0]
 
 
 class TestPersistence:
     def test_save_load_roundtrip(self, traced_run, tmp_path):
-        report = build_run_report(traced_run, name="unit", meta={"seed": 17})
+        report = _report(traced_run, name="unit", meta={"seed": 17})
         path = report.save(str(tmp_path / "nested" / "report.json"))
         loaded = RunReport.load(path)
         assert loaded.to_dict() == report.to_dict()
 
     def test_saved_json_is_plain(self, traced_run, tmp_path):
-        path = build_run_report(traced_run, name="unit").save(
+        path = _report(traced_run, name="unit").save(
             str(tmp_path / "report.json")
         )
         with open(path, "r", encoding="utf-8") as handle:
@@ -80,7 +88,7 @@ class TestPersistence:
 
     def test_load_rejects_unknown_schema(self, traced_run, tmp_path):
         path = str(tmp_path / "report.json")
-        payload = build_run_report(traced_run, name="unit").to_dict()
+        payload = _report(traced_run, name="unit").to_dict()
         payload["schema_version"] = SCHEMA_VERSION + 1
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
@@ -95,7 +103,7 @@ class TestPersistence:
 
 class TestSummary:
     def test_summary_mentions_phases_and_rank(self, traced_run):
-        text = build_run_report(traced_run, name="unit").summary()
+        text = _report(traced_run, name="unit").summary()
         assert "unit" in text
         assert "prox:TraceNormProx" in text
         assert "retained SVD rank" in text
@@ -103,7 +111,9 @@ class TestSummary:
         assert "fb.iterations: 3" in text
 
     def test_summary_on_empty_tracer(self):
-        text = build_run_report(Tracer(), name="empty").summary()
+        with Tracer().trace("empty") as trace:
+            pass
+        text = build_run_report(trace, name="empty").summary()
         assert "empty" in text
 
 

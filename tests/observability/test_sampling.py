@@ -1,4 +1,4 @@
-"""SamplingTracer: deterministic head sampling, error capture, counters."""
+"""Tracer: deterministic head sampling, error capture, counters."""
 
 from __future__ import annotations
 
@@ -11,11 +11,6 @@ from repro.observability.propagation import (
     TraceContext,
     current_trace,
     sampling_decision,
-)
-from repro.observability.sampling import (
-    DEFAULT_SAMPLE_RATE,
-    ActiveTrace,
-    SamplingTracer,
 )
 from repro.observability.tracer import NullTracer, Tracer
 
@@ -53,7 +48,7 @@ class TestSamplingDecision:
 
 class TestTraceLifecycle:
     def test_sampled_trace_records_span_tree(self, registry):
-        tracer = SamplingTracer(registry, default_rate=1.0)
+        tracer = Tracer(registry, default_rate=1.0)
         with tracer.trace("topk") as trace:
             with tracer.span("serve.top_k"):
                 with tracer.span("serve.shard[000]"):
@@ -68,14 +63,14 @@ class TestTraceLifecycle:
         assert tracer.finished() == [trace]
 
     def test_unsampled_clean_trace_is_dropped(self, registry):
-        tracer = SamplingTracer(registry, default_rate=0.0)
+        tracer = Tracer(registry, default_rate=0.0)
         with tracer.trace("topk"):
             with tracer.span("serve.top_k"):
                 pass
         assert tracer.finished() == []
 
     def test_error_always_captured_even_at_rate_zero(self, registry):
-        tracer = SamplingTracer(registry, default_rate=0.0)
+        tracer = Tracer(registry, default_rate=0.0)
         with pytest.raises(RuntimeError):
             with tracer.trace("topk"):
                 with tracer.span("serve.top_k"):
@@ -91,21 +86,21 @@ class TestTraceLifecycle:
         )
 
     def test_mark_error_promotes_without_exception(self, registry):
-        tracer = SamplingTracer(registry, default_rate=0.0)
+        tracer = Tracer(registry, default_rate=0.0)
         with tracer.trace("topk") as trace:
             trace.mark_error("http 503")
         assert tracer.finished() == [trace]
         assert trace.error_message == "http 503"
 
     def test_trace_binds_and_unbinds_carrier(self, registry):
-        tracer = SamplingTracer(registry, default_rate=1.0)
+        tracer = Tracer(registry, default_rate=1.0)
         assert current_trace() is None
         with tracer.trace("topk") as trace:
             assert current_trace() is trace
         assert current_trace() is None
 
     def test_parent_context_pins_id_and_verdict(self, registry):
-        tracer = SamplingTracer(registry, default_rate=0.0)
+        tracer = Tracer(registry, default_rate=0.0)
         parent = TraceContext("cafe" * 4, "beef1234", sampled=True)
         with tracer.trace("topk", parent=parent) as trace:
             pass
@@ -114,7 +109,7 @@ class TestTraceLifecycle:
         assert trace.context.span_id != parent.span_id
 
     def test_explicit_trace_id_reproduces_decision(self, registry):
-        tracer = SamplingTracer(registry, default_rate=0.37)
+        tracer = Tracer(registry, default_rate=0.37)
         trace_id = "0123456789abcdef"
         expected = sampling_decision(trace_id, 0.37)
         with tracer.trace("topk", trace_id=trace_id) as trace:
@@ -122,7 +117,7 @@ class TestTraceLifecycle:
         assert trace.sampled == expected
 
     def test_route_rate_overrides_default(self, registry):
-        tracer = SamplingTracer(
+        tracer = Tracer(
             registry, default_rate=0.0, route_rates={"topk": 1.0}
         )
         assert tracer.sample_rate_for("topk") == 1.0
@@ -132,14 +127,14 @@ class TestTraceLifecycle:
         assert trace.sampled
 
     def test_buffer_is_bounded(self, registry):
-        tracer = SamplingTracer(registry, default_rate=1.0, buffer_size=4)
+        tracer = Tracer(registry, default_rate=1.0, buffer_size=4)
         for _ in range(10):
             with tracer.trace("topk"):
                 pass
         assert len(tracer.finished()) == 4
 
     def test_find_trace_by_id(self, registry):
-        tracer = SamplingTracer(registry, default_rate=1.0)
+        tracer = Tracer(registry, default_rate=1.0)
         with tracer.trace("topk") as trace:
             pass
         assert tracer.find_trace(trace.context.trace_id) is trace
@@ -148,14 +143,14 @@ class TestTraceLifecycle:
 
 class TestCountersAndDrain:
     def test_counts_surface_through_counters_property(self, registry):
-        tracer = SamplingTracer(registry, default_rate=1.0)
+        tracer = Tracer(registry, default_rate=1.0)
         tracer.count("serve.requests")
         tracer.count("serve.requests", 2)
         assert tracer.counters["serve.requests"] == 3
         assert isinstance(tracer.counters["serve.requests"], int)
 
     def test_trace_counters_drain_into_registry(self, registry):
-        tracer = SamplingTracer(registry, default_rate=1.0)
+        tracer = Tracer(registry, default_rate=1.0)
         with tracer.trace("topk"):
             pass
         with pytest.raises(ValueError):
@@ -168,7 +163,7 @@ class TestCountersAndDrain:
         assert "repro_trace_errors_total 1" in text
 
     def test_hot_counter_prebinding(self, registry):
-        tracer = SamplingTracer(registry, default_rate=1.0)
+        tracer = Tracer(registry, default_rate=1.0)
         cell = tracer.hot_counter("serve.requests")
         assert cell is tracer.hot_counter("serve.requests")
         cell.inc(5)
@@ -178,7 +173,7 @@ class TestCountersAndDrain:
         from repro.observability.cells import CellBank
 
         cells = CellBank(registry)
-        tracer = SamplingTracer(registry, default_rate=1.0, cells=cells)
+        tracer = Tracer(registry, default_rate=1.0, cells=cells)
         assert tracer.cells is cells
         cells.counter("external.count").inc()
         assert tracer.counters["external.count"] == 1
@@ -199,7 +194,7 @@ class TestNullPathsSpawnNothing:
 
     def test_sampling_tracer_spawns_no_background_threads(self, registry):
         before = {t.ident for t in threading.enumerate()}
-        tracer = SamplingTracer(registry, default_rate=1.0)
+        tracer = Tracer(registry, default_rate=1.0)
         with tracer.trace("topk"):
             pass
         tracer.drain()
@@ -207,21 +202,23 @@ class TestNullPathsSpawnNothing:
         assert after == before
 
     def test_span_outside_trace_is_shared_null(self, registry):
-        tracer = SamplingTracer(registry, default_rate=1.0)
+        tracer = Tracer(registry, default_rate=1.0)
         first = tracer.span("serve.not_bridged")
         second = tracer.span("serve.not_bridged")
         assert first is second  # the shared null span, no allocation
 
 
-class TestBaseTracerCompatibility:
-    def test_base_tracer_trace_records_request_span(self, registry):
+class TestDefaultRate:
+    def test_default_tracer_records_every_trace(self, registry):
         tracer = Tracer(registry)
+        assert tracer.sample_rate_for("topk") == 1.0
         with tracer.trace("topk") as trace:
-            assert not trace.is_recording
-            trace.mark_error("no-op")  # inert: must not raise
-        assert [s.name for s in tracer.roots] == ["request.topk"]
+            assert trace.is_recording
+            trace.mark_error("recorded")
+        assert [s.name for s in trace.spans()] == ["request.topk"]
+        assert tracer.finished() == [trace]
 
-    def test_base_tracer_hot_handles_feed_counters(self, registry):
+    def test_hot_handles_feed_counters(self, registry):
         tracer = Tracer(registry)
         tracer.hot_counter("serve.requests").inc(2)
         tracer.hot_histogram("serve.lat").observe(0.5)

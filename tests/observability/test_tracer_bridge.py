@@ -29,10 +29,11 @@ class TestSpanBridge:
         assert family.snapshot()["count"] == 1
 
     def test_unmapped_span_stays_tracer_only(self, tracer, registry):
-        with tracer.span("prox:TraceNormProx"):
-            pass
+        with tracer.trace("fit") as trace:
+            with tracer.span("prox:TraceNormProx"):
+                pass
         assert registry.get("prox:TraceNormProx") is None
-        assert "prox:TraceNormProx" in tracer.phase_totals()
+        assert "prox:TraceNormProx" in trace.phase_totals()
 
     def test_nested_spans_each_bridge(self, tracer, registry):
         with tracer.span("cccp_round"):
@@ -48,18 +49,28 @@ class TestSpanBridge:
 class TestCounterAndGaugeBridge:
     def test_mapped_counter_published(self, tracer, registry):
         tracer.count("cccp.rounds", 3)
+        tracer.drain()
         assert registry.get("solver.cccp_rounds").value == 3
         assert tracer.counters["cccp.rounds"] == 3
 
+    def test_counters_sharing_a_series_sum(self, tracer, registry):
+        # Both SVD recovery paths roll up into one degradation series.
+        tracer.count("svt.dense_fallbacks", 2)
+        tracer.count("svt.eigh_fallbacks")
+        tracer.drain()
+        assert registry.get("reliability.svd_fallbacks").value == 3
+
     def test_unmapped_counter_stays_tracer_only(self, tracer, registry):
         tracer.count("serve.topk_requests")
+        tracer.drain()
         assert registry.get("serve.topk_requests") is None
 
     def test_mapped_metric_sets_gauge_to_latest(self, tracer, registry):
-        tracer.metric("svt.retained_rank", 40)
-        tracer.metric("svt.retained_rank", 28)
+        with tracer.trace("fit") as trace:
+            tracer.metric("svt.retained_rank", 40)
+            tracer.metric("svt.retained_rank", 28)
         assert registry.get("solver.rank").value == 28
-        assert tracer.metrics["svt.retained_rank"] == [40.0, 28.0]
+        assert trace.metrics["svt.retained_rank"] == [40.0, 28.0]
 
 
 def _record(iteration, objective):
@@ -101,6 +112,7 @@ class TestDisabledPaths:
             pass
         tracer.count("cccp.rounds")
         tracer.metric("svt.retained_rank", 5)
+        tracer.drain()
         assert registry.render() == ""
 
     def test_null_tracer_never_bridges(self, registry):

@@ -57,12 +57,12 @@ class TestLossyTruncationWarning:
         u = rng.normal(size=(30, 6))
         matrix = u @ u.T * 5.0  # six comparable directions
         tracer = Tracer()
-        with pytest.warns(TruncatedSVTWarning):
+        with tracer.trace("svt") as trace, pytest.warns(TruncatedSVTWarning):
             truncated_singular_value_threshold(
                 matrix, 0.01, rank=2, tracer=tracer
             )
         assert tracer.counters["svt.lossy_truncations"] == 1
-        assert tracer.metrics["svt.tail_excess"][0] > 0.0
+        assert trace.metrics["svt.tail_excess"][0] > 0.0
 
     def test_silent_when_tail_below_threshold(self, low_rank_plus_noise):
         singular = np.linalg.svd(low_rank_plus_noise, compute_uv=False)

@@ -211,10 +211,10 @@ class TestRankCap:
         engine = WarmStartSVT(
             initial_rank=6, max_rank=6, **FORCE_RANDOMIZED
         )
-        with pytest.warns(TruncatedSVTWarning):
+        with tracer.trace("svt") as trace, pytest.warns(TruncatedSVTWarning):
             engine.apply(matrix, 0.1, tracer=tracer)
         assert tracer.counters["svt.lossy_truncations"] == 1
-        assert tracer.metrics["svt.tail_excess"]
+        assert trace.metrics["svt.tail_excess"]
 
     def test_invalid_max_rank_rejected(self):
         with pytest.raises(ValueError, match="max_rank"):
@@ -313,9 +313,10 @@ class TestObservability:
         registry = MetricsRegistry()
         tracer = Tracer(registry)
         engine = WarmStartSVT(**FORCE_RANDOMIZED)
-        engine.apply(matrix, 0.5, tracer=tracer)
-        assert tracer.metrics["svt.adaptive_rank"]
-        assert tracer.metrics["svt.retained_rank"]
+        with tracer.trace("svt") as trace:
+            engine.apply(matrix, 0.5, tracer=tracer)
+        assert trace.metrics["svt.adaptive_rank"]
+        assert trace.metrics["svt.retained_rank"]
         rendered = registry.render()
         assert "solver_svt_adaptive_rank" in rendered
 

@@ -53,6 +53,7 @@ class TestSvdFallbacks:
         tracer = Tracer(registry)
         GLOBAL_INJECTOR.arm("solver.svd.dense", times=1)
         singular_value_threshold(matrix, 0.5, tracer=tracer)
+        tracer.drain()
         assert "reliability_svd_fallbacks_total 1" in registry.render()
 
     def test_fit_completes_despite_svd_faults(self, task):

@@ -397,9 +397,9 @@ class TestObservabilityExtras:
         assert "repro_serving_executor_wait_seconds" in text
 
     def test_executor_hop_span_attached_to_sampled_trace(self, service):
-        from repro.observability.sampling import SamplingTracer
+        from repro.observability.tracer import Tracer
 
-        service.tracer = SamplingTracer(
+        service.tracer = Tracer(
             service.registry, default_rate=1.0, cells=service.cells
         )
         server = AsyncLinkPredictionServer(service, port=0).start()

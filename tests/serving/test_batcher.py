@@ -2,6 +2,7 @@
 
 import math
 import queue
+from collections import deque
 import threading
 import time
 
@@ -9,6 +10,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError, UnknownNodeError
 from repro.serving.batcher import MicroBatcher
+from repro.serving.service import LinkPredictionService
 
 
 class _GatedPasses:
@@ -179,7 +181,6 @@ class TestCoalescing:
         counters = service.tracer.counters
         assert counters["batcher.batches"] >= 1
         assert counters["batcher.requests"] >= 1
-        assert service.tracer.metrics["batcher.batch_size"]
 
     def test_concurrent_load_coalesces(self, service, monkeypatch):
         """Requests queued during a pass are answered by one next pass."""
@@ -253,9 +254,9 @@ class TestTraceGrafting:
     """The worker grafts a batcher.batch span back onto request traces."""
 
     def test_sampled_trace_gains_batch_span(self, service):
-        from repro.observability.sampling import SamplingTracer
+        from repro.observability.tracer import Tracer
 
-        tracer = SamplingTracer(
+        tracer = Tracer(
             service.registry, default_rate=1.0, cells=service.cells
         )
         service.tracer = tracer
@@ -270,9 +271,9 @@ class TestTraceGrafting:
         assert batch_spans[0].duration > 0.0
 
     def test_batch_failure_promotes_error_trace(self, service):
-        from repro.observability.sampling import SamplingTracer
+        from repro.observability.tracer import Tracer
 
-        tracer = SamplingTracer(
+        tracer = Tracer(
             service.registry, default_rate=0.0, cells=service.cells
         )
         service.tracer = tracer
@@ -289,9 +290,9 @@ class TestTraceGrafting:
         )
 
     def test_unsampled_clean_submit_grafts_nothing(self, service):
-        from repro.observability.sampling import SamplingTracer
+        from repro.observability.tracer import Tracer
 
-        tracer = SamplingTracer(
+        tracer = Tracer(
             service.registry, default_rate=0.0, cells=service.cells
         )
         service.tracer = tracer
@@ -299,3 +300,63 @@ class TestTraceGrafting:
             with tracer.trace("topk"):
                 batcher.submit(user=0, k=3)
         assert tracer.finished() == []
+
+
+def _longest_unbounded_container(root):
+    """Length of the longest list/dict/set reachable from ``root``.
+
+    Walks ``repro`` objects (``__dict__`` and ``__slots__``) and plain
+    containers; a ``deque`` with a ``maxlen`` is bounded by construction,
+    so only its contents are walked.
+    """
+    longest, seen, stack = 0, set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            longest = max(longest, len(obj))
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            longest = max(longest, len(obj))
+            stack.extend(obj)
+        elif isinstance(obj, deque):
+            if obj.maxlen is None:
+                longest = max(longest, len(obj))
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("repro."):
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            for klass in type(obj).__mro__:
+                for slot in getattr(klass, "__slots__", ()):
+                    if hasattr(obj, slot):
+                        stack.append(getattr(obj, slot))
+    return longest
+
+
+class TestBoundedTracerState:
+    """No tracer state grows with requests, batches or reloads."""
+
+    @pytest.mark.parametrize("rate", [1.0, 0.0])
+    def test_tracer_state_bounded_under_traffic(self, store, rate):
+        from repro.observability.metrics import MetricsRegistry
+        from repro.observability.tracer import Tracer
+
+        buffer_size = 32
+        registry = MetricsRegistry()
+        tracer = Tracer(registry, default_rate=rate, buffer_size=buffer_size)
+        service = LinkPredictionService(
+            store, cache_size=16, tracer=tracer, registry=registry
+        )
+        with MicroBatcher(service) as batcher:
+            for i in range(1000):
+                with tracer.trace("topk"):
+                    batcher.submit(user=i % 24, k=3)
+        for _ in range(20):
+            service.reload()
+        assert tracer.counters["trace.started"] == 1000
+        assert len(tracer.finished()) <= buffer_size
+        # Every container the tracer reaches (cells, hot handles, the
+        # buffered traces' span trees) stays far below the 1,020
+        # requests and reloads it saw.
+        assert _longest_unbounded_container(tracer) <= 2 * buffer_size

@@ -226,9 +226,9 @@ class TestTraceEdge:
         assert len(parts) == 3 and parts[2] in ("00", "01")
 
     def test_incoming_trace_header_pins_trace_id(self, service):
-        from repro.observability.sampling import SamplingTracer
+        from repro.observability.tracer import Tracer
 
-        service.tracer = SamplingTracer(
+        service.tracer = Tracer(
             service.registry, default_rate=0.0, cells=service.cells
         )
         server = AsyncLinkPredictionServer(service, port=0).start()
@@ -250,9 +250,9 @@ class TestTraceEdge:
             server.server_close()
 
     def test_server_error_commits_error_trace(self, service, monkeypatch):
-        from repro.observability.sampling import SamplingTracer
+        from repro.observability.tracer import Tracer
 
-        service.tracer = SamplingTracer(
+        service.tracer = Tracer(
             service.registry, default_rate=0.0, cells=service.cells
         )
         monkeypatch.setattr(

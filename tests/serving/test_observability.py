@@ -85,6 +85,22 @@ class TestMetricsEndpoint:
         assert "repro_solver_svt_seconds_count" in text
         assert "repro_serving_cache_misses_total" in text
 
+    def test_registry_less_tracer_drains_into_service_registry(self, store):
+        # A tracer built without a registry is attached to the service's
+        # registry, and its striped cells must drain there too.
+        from repro.observability.tracer import Tracer
+
+        registry = MetricsRegistry()
+        tracer = Tracer(default_rate=1.0)
+        service = LinkPredictionService(
+            store, tracer=tracer, registry=registry
+        )
+        with tracer.trace("topk"):
+            service.top_k(0, 3)
+        text = service.metrics_text()
+        assert "repro_trace_started_total 1" in text
+        assert "repro_trace_sampled_total 1" in text
+
     def test_404_and_errors_counted(self, endpoint):
         try:
             _get_raw(f"{endpoint}/nope")

@@ -180,6 +180,27 @@ class TestScoring:
         assert len(model.estimates) == 2
 
 
+class TestTracing:
+    def test_traced_fit_is_one_trace_with_shard_spans(self, block_adjacency):
+        from repro.observability.tracer import Tracer
+
+        adjacency, labels = block_adjacency
+        tracer = Tracer()
+        model = ShardedSlamPred(
+            n_shards=2, use_processes=False, tracer=tracer, **_FIT_KWARGS
+        )
+        model.fit(adjacency, labels=labels)
+        (trace,) = tracer.finished()
+        assert [child.name for child in trace.root.children] == [
+            "sharding.fit_shards",
+            "sharding.stitch",
+        ]
+        assert [
+            shard.name for shard in trace.root.children[0].children
+        ] == ["sharding.fit_shard[000]", "sharding.fit_shard[001]"]
+        assert len(trace.metrics["sharding.shard_seconds"]) == 2
+
+
 class TestValidation:
     def test_unfitted_access_raises(self):
         model = ShardedSlamPred(n_shards=2)

@@ -202,10 +202,10 @@ class TestStitchedTracing:
 
     def _traced_service(self, tmp_path, **tracer_kwargs):
         from repro.observability.metrics import MetricsRegistry
-        from repro.observability.sampling import SamplingTracer
+        from repro.observability.tracer import Tracer
 
         registry = MetricsRegistry()
-        tracer = SamplingTracer(registry, **tracer_kwargs)
+        tracer = Tracer(registry, **tracer_kwargs)
         service = LinkPredictionService(
             _publish(tmp_path), tracer=tracer, registry=registry
         )

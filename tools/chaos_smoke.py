@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.models.persistence import FrozenPredictor
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.sampling import SamplingTracer
+from repro.observability.tracer import Tracer
 from repro.reliability.faults import GLOBAL_INJECTOR, configure_from_env
 from repro.serving.aio import AsyncLinkPredictionServer
 from repro.serving.artifacts import ArtifactStore
@@ -97,7 +97,7 @@ def main() -> int:
         # Head sampling at rate 0: the only way a trace can commit is the
         # always-capture-on-error promotion, which step 2 asserts below.
         registry = MetricsRegistry()
-        tracer = SamplingTracer(registry, default_rate=0.0)
+        tracer = Tracer(registry, default_rate=0.0)
         service = LinkPredictionService(
             store, tracer=tracer, registry=registry
         )

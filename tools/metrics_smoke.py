@@ -10,7 +10,9 @@ End-to-end over a throwaway artifact store:
    404, one request with a caller-chosen ``X-Request-Id``);
 4. scrape ``/metrics`` and fail unless the payload parses as Prometheus
    text format 0.0.4 and carries the core serving series with the counts
-   the traffic implies.
+   the traffic implies — the tracer's ``repro_trace_*`` series included,
+   which reach the registry only through the drain of its striped
+   cells.
 
 Run from the repo root::
 
@@ -46,6 +48,9 @@ REQUIRED_SERIES = (
     "repro_serving_cache_size",
     "repro_serving_uptime_seconds",
     "repro_serving_artifact_version",
+    "repro_trace_started_total",
+    "repro_trace_sampled_total",
+    "repro_trace_errors_total",
 )
 
 
@@ -90,8 +95,10 @@ def main() -> int:
         service = LinkPredictionService(store)
         server = AsyncLinkPredictionServer(service, port=0).start()
         base = f"http://127.0.0.1:{server.server_address[1]}"
+        issued = 0  # requests before the scrape; each opens one trace
         try:
             with urllib.request.urlopen(f"{base}/healthz", timeout=10) as r:
+                issued += 1
                 assert json.load(r)["status"] == "ok"
             for _ in range(2):  # miss, then cache hit
                 req = urllib.request.Request(
@@ -99,11 +106,13 @@ def main() -> int:
                     headers={"X-Request-Id": "smoke-req-1"},
                 )
                 with urllib.request.urlopen(req, timeout=10) as r:
+                    issued += 1
                     assert r.headers["X-Request-Id"] == "smoke-req-1"
                     assert len(json.load(r)["candidates"]) == 5
             try:
                 urllib.request.urlopen(f"{base}/definitely-not-a-route")
             except urllib.error.HTTPError as exc:
+                issued += 1
                 assert exc.code == 404
             with urllib.request.urlopen(f"{base}/metrics", timeout=10) as r:
                 content_type = r.headers["Content-Type"]
@@ -125,6 +134,7 @@ def main() -> int:
         'repro_serving_http_request_seconds_count'
         '{route="topk",method="GET",status="200"}': 2,
         "repro_serving_artifact_version": 1,
+        "repro_trace_started_total": issued,
     }
     for series, minimum in checks.items():
         if samples.get(series, 0) < minimum:
