@@ -44,13 +44,17 @@ def main() -> None:
         random_state=np.random.default_rng(23),
     )
     model = SlamPred().fit(task)
-    with tempfile.NamedTemporaryFile(suffix=".npz", delete=False) as handle:
-        path = handle.name
-    save_predictor(model, path)
-    print(f"trained SLAMPRED, persisted to {path}")
+    with tempfile.TemporaryDirectory() as directory:
+        save_predictor(model, directory)
+        print(f"trained SLAMPRED, persisted to {directory}")
 
-    # --- serving process --------------------------------------------------
-    served = load_predictor(path)
+        # --- serving process ----------------------------------------------
+        served = load_predictor(directory)
+        serve(served, split)
+
+
+def serve(served, split) -> None:
+    """Recommend from the reloaded predictor and score the hidden links."""
     recommender = LinkRecommender(served, split.training_graph)
 
     user = int(np.argmax(split.training_graph.degrees()))

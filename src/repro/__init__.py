@@ -97,7 +97,6 @@ from repro.serving import (
     RankingCache,
 )
 from repro.sharding import (
-    ShardedArtifactStore,
     ShardedSlamPred,
     ShardPlan,
     plan_shards,
@@ -175,7 +174,6 @@ __all__ = [
     "MicroBatcher",
     "RankingCache",
     "ShardPlan",
-    "ShardedArtifactStore",
     "ShardedSlamPred",
     "plan_shards",
     "GraphDenoiser",

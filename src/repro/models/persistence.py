@@ -1,26 +1,30 @@
 """Persistence for fitted matrix predictors.
 
-A fitted SLAMPRED model is, operationally, its score matrix plus the
-hyper-parameters that produced it.  ``save_predictor`` /
-``load_predictor`` round-trip that state through a compressed ``.npz`` so a
-trained predictor can be shipped to a serving process that never imports
-the training stack.
+A fitted predictor is, operationally, its estimate S plus the
+hyper-parameters that produced it.  :func:`save_predictor` writes it into
+a directory and :func:`load_predictor` reads it back, so a trained
+predictor can be shipped to a serving process that never imports the
+training stack.  Every predictor uses one layout::
 
-The archive embeds a sha256 content digest over the score matrix and the
-metadata blob; loading recomputes and compares it, so a truncated download
-or a bit-flipped artifact fails with a crisp
-:class:`~repro.exceptions.SerializationError` instead of silently serving
-corrupted scores (or leaking a raw ``zipfile``/``KeyError``).
+    model.json          format marker, kind, metadata blob, content digest
+    score_matrix.npy    dense predictors: the n×n scores
+    factor_u.npy …      factored predictors (DESIGN.md §13): U, σ, Vᵀ, the
+                        CSR residual arrays and n_users — the O(nk)
+                        split ``U diag(σ) Vᵀ + R``; the n×n matrix is
+                        never formed
 
-Loaded predictors come back as :class:`FrozenPredictor` — scoring works,
-refitting is deliberately unsupported (retrain from source data instead).
+Each array is one uncompressed ``.npy`` file and loads read-only and
+memory-mapped: loading touches O(1) heap whatever the array sizes, and
+the kernel pages bytes in on first access.  :func:`content_digest` binds
+the arrays to the metadata blob; loading recomputes it by streaming over
+the mapped arrays in bounded chunks, so a truncated or bit-flipped file
+fails with :class:`~repro.exceptions.ArtifactCorruptError` instead of
+silently serving corrupted scores — even when the enclosing store's
+per-file checksums were rewritten to match.
 
-Factored models (``factored=True`` fits, DESIGN.md §13) round-trip through
-a distinct format version that stores the O(nk) factors — ``U``, ``σ``,
-``Vᵀ`` and the CSR residual arrays — instead of the n×n matrix, with the
-same digest discipline over every array.  They come back as
-:class:`FrozenFactoredPredictor`, which scores pairs through O(k) dots and
-never materializes the dense matrix unless explicitly asked.
+Loaded predictors come back as :class:`FrozenPredictor` or
+:class:`FrozenFactoredPredictor` — scoring works, refitting is
+deliberately unsupported (retrain from source data instead).
 """
 
 from __future__ import annotations
@@ -28,18 +32,31 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
-import zipfile
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
 
 from repro.exceptions import ArtifactCorruptError, SerializationError
 from repro.models.base import MatrixPredictor, TransferTask
 
-_FORMAT_VERSION = 2
-_FACTORED_FORMAT_VERSION = 3  # factored archives: factors, not the matrix
-_DIGESTLESS_VERSIONS = (1,)  # legacy archives written before checksums
+MODEL_JSON = "model.json"
+"""The header file of a predictor directory."""
+
+_FORMAT = "predictor-npy"
+_FORMAT_VERSION = 1
+_ARRAYS = {
+    "dense": ("score_matrix",),
+    "factored": (
+        "factor_u",
+        "factor_s",
+        "factor_vt",
+        "residual_data",
+        "residual_indices",
+        "residual_indptr",
+        "n_users",
+    ),
+}
+"""Array names of each predictor kind, in a fixed order."""
 
 
 class FrozenPredictor(MatrixPredictor):
@@ -55,6 +72,8 @@ class FrozenPredictor(MatrixPredictor):
 
     def __init__(self, score_matrix: np.ndarray, metadata: Dict = None):
         super().__init__()
+        # asarray also demotes a loaded np.memmap to a plain ndarray view
+        # of the same pages, so scalar reads cost what they cost on the heap.
         score_matrix = np.asarray(score_matrix, dtype=float)
         if score_matrix.ndim != 2 or score_matrix.shape[0] != score_matrix.shape[1]:
             raise SerializationError(
@@ -140,24 +159,10 @@ class FrozenFactoredPredictor(MatrixPredictor):
         )
 
 
-def content_digest(matrix: np.ndarray, metadata_json: str) -> str:
-    """Sha256 hex digest binding a score matrix to its metadata blob.
-
-    Hashes the matrix shape, its float64 bytes, and the serialized metadata,
-    so any tampering with either half of the archive changes the digest.
-    """
-    matrix = np.ascontiguousarray(matrix, dtype=float)
-    hasher = hashlib.sha256()
-    hasher.update(repr(matrix.shape).encode("ascii"))
-    hasher.update(matrix.tobytes())
-    hasher.update(metadata_json.encode("utf-8"))
-    return hasher.hexdigest()
-
-
 _DIGEST_CHUNK_BYTES = 1 << 16
-"""Hashing window for :func:`factored_content_digest` — small enough that
-verifying a memory-mapped artifact never materializes more than one chunk
-of factor bytes on the Python heap (the zero-copy reload guarantee)."""
+"""Hashing window for :func:`content_digest` — small enough that verifying
+a memory-mapped predictor never materializes more than one chunk of array
+bytes on the Python heap (the zero-copy reload guarantee)."""
 
 
 def _hash_array(hasher, array: np.ndarray) -> None:
@@ -166,7 +171,7 @@ def _hash_array(hasher, array: np.ndarray) -> None:
     Contiguous arrays (including ``np.load(..., mmap_mode="r")`` memmaps)
     are hashed straight from their buffer — no full-array copy is ever
     made, which is what keeps artifact verification O(chunk) in resident
-    memory regardless of factor size.  The byte stream is identical to
+    memory regardless of array size.  The byte stream is identical to
     ``np.ascontiguousarray(array).tobytes()``, so digests are layout- and
     version-stable.
     """
@@ -180,13 +185,13 @@ def _hash_array(hasher, array: np.ndarray) -> None:
         hasher.update(view[start : start + step])
 
 
-def factored_content_digest(arrays: Dict, metadata_json: str) -> str:
-    """Sha256 hex digest binding factor arrays to their metadata blob.
+def content_digest(arrays: Dict, metadata_json: str) -> str:
+    """Sha256 hex digest binding a predictor's arrays to its metadata blob.
 
     Arrays are hashed in sorted key order — name, shape, contiguous
-    float/int bytes — so corrupting any single factor file (or swapping
+    float/int bytes — so corrupting any single array file (or swapping
     two) changes the digest.  Hashing streams each array in bounded
-    chunks, so verifying memory-mapped factors stays constant-memory.
+    chunks, so verifying memory-mapped arrays stays constant-memory.
     """
     hasher = hashlib.sha256()
     for key in sorted(arrays):
@@ -199,7 +204,7 @@ def factored_content_digest(arrays: Dict, metadata_json: str) -> str:
 
 
 def _factored_arrays(estimate) -> Dict:
-    """The npz payload of a factored estimate (all O(nk) arrays)."""
+    """The arrays of a factored estimate (all O(nk))."""
     residual = estimate.residual.tocsr()
     return {
         "factor_u": np.ascontiguousarray(estimate.u, dtype=float),
@@ -216,11 +221,11 @@ def _factored_arrays(estimate) -> Dict:
     }
 
 
-def _extract_metadata(model: MatrixPredictor) -> Dict:
+def predictor_metadata(model: MatrixPredictor) -> Dict:
     """The model name plus every scalar/flat-sequence hyper-parameter.
 
-    Re-saving a :class:`FrozenPredictor` keeps its original metadata, so
-    hyper-parameters survive load → publish round-trips.
+    Re-saving a loaded predictor keeps its original metadata, so
+    hyper-parameters survive load → save round trips.
     """
     metadata = {}
     if isinstance(getattr(model, "metadata", None), dict):
@@ -245,245 +250,121 @@ def _extract_metadata(model: MatrixPredictor) -> Dict:
     return metadata
 
 
-def save_predictor(model: MatrixPredictor, path: str) -> None:
-    """Write a fitted matrix predictor to ``path`` (.npz).
+def save_arrays(directory: str, arrays: Dict, prefix: str = "") -> List[str]:
+    """Write each array as an uncompressed ``<prefix><name>.npy``.
 
-    Dense predictors serialize the score matrix plus a JSON metadata blob
-    containing the model name and its scalar hyper-parameters, and a
-    sha256 content digest that :func:`load_predictor` verifies on the way
-    back in.  Factored predictors (``model.factored`` truthy) serialize
-    the O(nk) factor arrays instead — the dense matrix is never formed.
+    Returns the written paths, in ``arrays`` order.
+    """
+    paths = []
+    for key, array in arrays.items():
+        paths.append(os.path.join(directory, f"{prefix}{key}.npy"))
+        np.save(paths[-1], np.ascontiguousarray(array))
+    return paths
+
+
+def load_arrays(directory: str, keys, prefix: str = "") -> Dict:
+    """Map ``<prefix><name>.npy`` read-only for every name in ``keys``.
+
+    Raises ``OSError``/``ValueError`` on a missing or malformed file.
+    """
+    return {
+        key: np.load(
+            os.path.join(directory, f"{prefix}{key}.npy"),
+            mmap_mode="r",
+            allow_pickle=False,
+        )
+        for key in keys
+    }
+
+
+def save_predictor(model: MatrixPredictor, directory: str) -> List[str]:
+    """Write a fitted predictor into ``directory`` (created if needed).
+
+    Dense predictors write ``score_matrix.npy``; factored ones
+    (``model.factored`` truthy) write their O(nk) arrays instead, never
+    forming the dense matrix.  ``model.json`` carries the metadata blob
+    and the :func:`content_digest` that :func:`load_predictor` verifies.
+    Raises ``NotFittedError`` before touching disk when the model is not
+    fitted.  Returns the path of every file written, so a store can
+    checksum and manifest them.
     """
     if getattr(model, "factored", False):
-        estimate = model.factored_estimate  # fitted check before disk I/O
-        metadata_json = json.dumps(_extract_metadata(model))
-        arrays = _factored_arrays(estimate)
-        np.savez_compressed(
-            path,
-            version=np.array([_FACTORED_FORMAT_VERSION]),
-            metadata=np.frombuffer(
-                metadata_json.encode("utf-8"), dtype=np.uint8
-            ),
-            digest=np.frombuffer(
-                factored_content_digest(arrays, metadata_json).encode(
-                    "ascii"
-                ),
-                dtype=np.uint8,
-            ),
-            **arrays,
-        )
-        return
-    matrix = model.score_matrix  # raises NotFittedError when unfitted
-    metadata_json = json.dumps(_extract_metadata(model))
-    np.savez_compressed(
-        path,
-        version=np.array([_FORMAT_VERSION]),
-        score_matrix=matrix,
-        metadata=np.frombuffer(metadata_json.encode("utf-8"), dtype=np.uint8),
-        digest=np.frombuffer(
-            content_digest(matrix, metadata_json).encode("ascii"), dtype=np.uint8
-        ),
-    )
-
-
-def load_predictor(path: str) -> FrozenPredictor:
-    """Read a predictor previously written by :func:`save_predictor`.
-
-    Raises
-    ------
-    SerializationError
-        If the file is unreadable or truncated, written with an unsupported
-        format version, or its sha256 digest does not match the content
-        (tampered or corrupted archive).
-    """
-    try:
-        with np.load(path) as data:
-            version = int(data["version"][0])
-            supported = (_FORMAT_VERSION, _FACTORED_FORMAT_VERSION)
-            if version not in supported and version not in _DIGESTLESS_VERSIONS:
-                raise SerializationError(
-                    f"unsupported predictor format version {version}"
-                )
-            metadata_json = bytes(data["metadata"]).decode("utf-8")
-            stored_digest = (
-                bytes(data["digest"]).decode("ascii")
-                if version not in _DIGESTLESS_VERSIONS
-                else None
-            )
-            if version == _FACTORED_FORMAT_VERSION:
-                arrays = {
-                    key: np.asarray(data[key]) for key in _factored_keys()
-                }
-                matrix = None
-            else:
-                matrix = np.asarray(data["score_matrix"])
-                arrays = None
-    except (
-        KeyError,
-        ValueError,
-        OSError,
-        EOFError,
-        zipfile.BadZipFile,
-        pickle.UnpicklingError,
-    ) as exc:
-        raise SerializationError(f"cannot load predictor: {exc}") from exc
-    if stored_digest is not None:
-        actual = (
-            factored_content_digest(arrays, metadata_json)
-            if arrays is not None
-            else content_digest(matrix, metadata_json)
-        )
-        if actual != stored_digest:
-            raise ArtifactCorruptError(
-                f"predictor archive {path} failed its integrity check: "
-                f"stored sha256 {stored_digest[:12]}… but content hashes to "
-                f"{actual[:12]}… (truncated or tampered file)"
-            )
-    try:
-        metadata = json.loads(metadata_json)
-    except ValueError as exc:
-        raise SerializationError(f"cannot load predictor: {exc}") from exc
-    if arrays is not None:
-        return FrozenFactoredPredictor(
-            _estimate_from_arrays(arrays, path), metadata
-        )
-    return FrozenPredictor(matrix, metadata)
-
-
-FACTORED_LAYOUT_MODEL_JSON = "model.json"
-"""Header file of the raw-``.npy`` factored layout (format marker,
-metadata blob and the content digest binding the factor files)."""
-
-_FACTORED_LAYOUT_FORMAT = "factored-npy"
-_FACTORED_LAYOUT_VERSION = 1
-
-
-def save_factored_layout(model: MatrixPredictor, directory: str) -> Dict:
-    """Write a factored predictor as raw ``.npy`` files plus ``model.json``.
-
-    The memory-mappable sibling of the factored ``.npz`` archive: each
-    O(nk) array lands in its own *uncompressed* ``<name>.npy`` file (numpy
-    only honours ``mmap_mode`` for plain ``.npy``), and ``model.json``
-    carries the format marker, the metadata blob and the same
-    :func:`factored_content_digest` the archive format embeds — so
-    tampering with any factor file is caught even when the enclosing
-    manifest's per-file checksums were rewritten to match.
-
-    Returns ``{filename: absolute path}`` for every file written, so the
-    caller (the artifact store) can checksum and manifest them.
-    """
-    estimate = model.factored_estimate  # fitted check before disk I/O
-    metadata_json = json.dumps(_extract_metadata(model))
-    arrays = _factored_arrays(estimate)
-    written = {}
-    for key in _factored_keys():
-        filename = f"{key}.npy"
-        path = os.path.join(directory, filename)
-        np.save(path, arrays[key])
-        written[filename] = path
+        kind, arrays = "factored", _factored_arrays(model.factored_estimate)
+    else:
+        kind = "dense"
+        arrays = {
+            "score_matrix": np.ascontiguousarray(model.score_matrix, dtype=float)
+        }
+    metadata_json = json.dumps(predictor_metadata(model))
+    os.makedirs(directory, exist_ok=True)
+    paths = save_arrays(directory, arrays)
     header = {
-        "format": _FACTORED_LAYOUT_FORMAT,
-        "format_version": _FACTORED_LAYOUT_VERSION,
+        "format": _FORMAT,
+        "format_version": _FORMAT_VERSION,
+        "kind": kind,
         "metadata_json": metadata_json,
-        "digest": factored_content_digest(arrays, metadata_json),
+        "digest": content_digest(arrays, metadata_json),
     }
-    header_path = os.path.join(directory, FACTORED_LAYOUT_MODEL_JSON)
-    with open(header_path, "w", encoding="utf-8") as handle:
+    paths.append(os.path.join(directory, MODEL_JSON))
+    with open(paths[-1], "w", encoding="utf-8") as handle:
         json.dump(header, handle, indent=2, sort_keys=True)
-    written[FACTORED_LAYOUT_MODEL_JSON] = header_path
-    return written
+    return paths
 
 
-def load_factored_layout(
-    directory: str, mmap_mode: "str | None" = "r"
-) -> FrozenFactoredPredictor:
-    """Read a predictor written by :func:`save_factored_layout`.
+def load_predictor(directory: str) -> MatrixPredictor:
+    """Read a predictor written by :func:`save_predictor`.
 
-    With the default ``mmap_mode="r"`` the factor arrays come back as
-    read-only memory maps: loading touches O(1) heap regardless of n·k,
-    and the kernel pages factor bytes in on first access — this is what
-    makes hot-swap ``reload()`` near-free.  Pass ``mmap_mode=None`` to
-    materialize ordinary writable arrays instead (the opt-out for callers
-    that mutate factors in place).
-
-    Integrity holds on both paths: the ``model.json`` digest is recomputed
-    by streaming over the (possibly mapped) arrays in bounded chunks and
-    compared before anything is deserialized into an estimate.
+    Arrays come back as read-only memory maps (a dense score matrix as a
+    plain ``np.ndarray`` view of its map); the content digest is
+    recomputed over them before anything is deserialized.
 
     Raises
     ------
     SerializationError
-        Unreadable/missing files or an unsupported layout version.
+        Unreadable or missing files, or an unsupported format.
     ArtifactCorruptError
-        A factor file whose bytes no longer match the stored digest.
+        Array or metadata bytes that no longer match the stored digest.
     """
-    header_path = os.path.join(directory, FACTORED_LAYOUT_MODEL_JSON)
+    header_path = os.path.join(directory, MODEL_JSON)
     try:
         with open(header_path, "r", encoding="utf-8") as handle:
             header = json.load(handle)
-    except OSError as exc:
-        raise SerializationError(
-            f"cannot load factored layout {directory}: {exc}"
-        ) from exc
-    except ValueError as exc:
-        raise SerializationError(
-            f"corrupt factored layout header {header_path}: {exc}"
-        ) from exc
-    if (
-        header.get("format") != _FACTORED_LAYOUT_FORMAT
-        or header.get("format_version") != _FACTORED_LAYOUT_VERSION
-    ):
-        raise SerializationError(
-            f"unsupported factored layout {header.get('format')!r} "
-            f"v{header.get('format_version')!r} in {header_path}"
-        )
-    metadata_json = header.get("metadata_json", "{}")
-    arrays = {}
-    try:
-        for key in _factored_keys():
-            arrays[key] = np.load(
-                os.path.join(directory, f"{key}.npy"),
-                mmap_mode=mmap_mode,
-                allow_pickle=False,
+        form = (header.get("format"), header.get("format_version"))
+        kind = header.get("kind")
+        if form != (_FORMAT, _FORMAT_VERSION) or kind not in _ARRAYS:
+            raise SerializationError(
+                f"unsupported predictor format {form[0]!r} v{form[1]!r} "
+                f"({kind!r}) in {header_path}"
             )
-    except (OSError, ValueError, EOFError) as exc:
+        metadata_json = str(header["metadata_json"])
+        stored = str(header["digest"])
+        arrays = load_arrays(directory, _ARRAYS[kind])
+    except (OSError, ValueError, KeyError, AttributeError) as exc:
         raise SerializationError(
-            f"cannot load factored layout {directory}: {exc}"
+            f"cannot load predictor {directory}: {exc}"
         ) from exc
-    actual = factored_content_digest(arrays, metadata_json)
-    stored = header.get("digest")
+    actual = content_digest(arrays, metadata_json)
     if actual != stored:
         raise ArtifactCorruptError(
-            f"factored layout {directory} failed its integrity check: "
-            f"stored sha256 {str(stored)[:12]}… but content hashes to "
-            f"{actual[:12]}… (truncated or tampered factor file)"
+            f"predictor {directory} failed its integrity check: stored "
+            f"sha256 {stored[:12]}… but content hashes to {actual[:12]}… "
+            "(truncated or tampered file)"
         )
     try:
         metadata = json.loads(metadata_json)
     except ValueError as exc:
         raise SerializationError(
-            f"cannot load factored layout {directory}: {exc}"
+            f"cannot load predictor {directory}: {exc}"
         ) from exc
+    if kind == "dense":
+        return FrozenPredictor(arrays["score_matrix"], metadata)
     return FrozenFactoredPredictor(
         _estimate_from_arrays(arrays, directory), metadata
     )
 
 
-def _factored_keys():
-    """Array names of the factored archive payload, in a fixed order."""
-    return (
-        "factor_u",
-        "factor_s",
-        "factor_vt",
-        "residual_data",
-        "residual_indices",
-        "residual_indptr",
-        "n_users",
-    )
-
-
 def _estimate_from_arrays(arrays: Dict, path: str):
-    """Rebuild a :class:`FactoredEstimate` from validated archive arrays."""
+    """Rebuild a :class:`FactoredEstimate` from validated arrays."""
     from scipy import sparse
 
     from repro.factored.estimate import FactoredEstimate

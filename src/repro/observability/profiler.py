@@ -21,6 +21,7 @@ Two properties keep the instrumented hot path honest:
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 import threading
@@ -76,6 +77,23 @@ def _leaf_frame(frame: Any) -> str:
         f"{code.co_name} "
         f"({os.path.basename(code.co_filename)}:{frame.f_lineno})"
     )
+
+
+def _current_frames() -> Dict[int, Any]:
+    """``sys._current_frames()`` with the garbage collector paused.
+
+    On CPython 3.11 the call holds the interpreter's thread-list lock
+    while it allocates frame objects; a collection triggered there can
+    free a ``threading.local`` (the striped metric cells hold some),
+    whose cleanup takes the same lock, and the process hangs.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return sys._current_frames()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class ContinuousProfiler:
@@ -177,7 +195,7 @@ class ContinuousProfiler:
         """Take one snapshot of every thread; returns samples recorded."""
         my_ident = threading.get_ident()
         recorded = 0
-        frames = sys._current_frames()
+        frames = _current_frames()
         with self._data_lock:
             for ident, frame in frames.items():
                 if ident == my_ident:

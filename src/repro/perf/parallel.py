@@ -71,30 +71,36 @@ def parallel_map(
     ``results[i]`` corresponds to ``items[i]`` regardless of completion
     order, and ``seconds[i]`` is that item's own wall time (not the
     batch's).  With one item or ``max_workers=1`` the items run
-    sequentially on the calling thread.  Each worker thread runs under
-    the submitting thread's runtime context (request id / trace), so
-    per-item logs stay correlated with the triggering request.
+    sequentially on the calling thread, in the caller's own context.
+    Each pool thread runs under the submitting thread's runtime context
+    (request id / trace), so per-item logs and spans stay correlated
+    with the triggering request.
     """
     items = list(items)
     seconds = [0.0] * len(items)
-    runtime = inject_runtime_context()
 
     def timed(index_item: Tuple[int, T]) -> R:
         index, item = index_item
         start = time.perf_counter()
-        with activate_runtime_context(runtime):
-            result = fn(item)
+        result = fn(item)
         seconds[index] = time.perf_counter() - start
         return result
+
+    def rebound(index_item: Tuple[int, T]) -> R:
+        with activate_runtime_context(runtime):
+            return timed(index_item)
 
     if not items:
         return [], []
     workers = default_workers(len(items), max_workers)
     if workers == 1:
+        # The caller's own context is live here: spans opened by an item
+        # join the caller's trace directly.
         results = [timed(job) for job in enumerate(items)]
     else:
+        runtime = inject_runtime_context()
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(timed, enumerate(items)))
+            results = list(pool.map(rebound, enumerate(items)))
     return results, seconds
 
 

@@ -3,12 +3,15 @@
 Three subcommands cover the publish → inspect → serve lifecycle:
 
 * ``publish`` — fit a SLAMPRED variant on a synthetic aligned world (or
-  re-publish an existing ``save_predictor`` archive via ``--npz``) and
+  re-publish a ``save_predictor`` directory via ``--predictor``) and
   write it into an :class:`~repro.serving.artifacts.ArtifactStore`.
-* ``inspect`` — print a version's manifest (name, hyper-parameters,
-  per-file checksums) after re-verifying its integrity.
+* ``inspect`` — print a version's manifest (name, kind, shard count,
+  hyper-parameters, per-file checksums) after re-verifying its integrity.
 * ``serve`` — start the asyncio JSON/HTTP endpoint on the store's latest
   version.
+
+Every command works on dense, factored and sharded stores alike: a
+version is always a manifest plus memory-mapped ``.npy`` arrays.
 """
 
 from __future__ import annotations
@@ -56,15 +59,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     publish.add_argument("--store", required=True, help="artifact store directory")
     publish.add_argument(
-        "--npz",
+        "--predictor",
         default=None,
-        help="publish this save_predictor archive instead of fitting",
+        help="publish this save_predictor directory instead of fitting",
     )
     publish.add_argument(
         "--model",
         choices=sorted(_MODELS),
         default="slampred-t",
-        help="model variant to fit (ignored with --npz)",
+        help="model variant to fit (ignored with --predictor)",
     )
     publish.add_argument("--scale", type=int, default=60, help="synthetic world size")
     publish.add_argument("--seed", type=int, default=7, help="random seed")
@@ -78,15 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--factored",
         action="store_true",
         help="fit the O(nk) factored estimate instead of the dense one "
-        "(required for the memory-mappable npy layout)",
-    )
-    publish.add_argument(
-        "--layout",
-        choices=("npz", "npy"),
-        default="npz",
-        help="factored artifact layout: npz (compressed archive) or npy "
-        "(one file per array, memory-mappable on load); dense publishes "
-        "always use npz",
+        "(publishes the factor arrays, never the n×n matrix)",
     )
 
     inspect = commands.add_parser(
@@ -213,11 +208,11 @@ def _parse_route_rates(pairs):
 
 def run_publish(args: argparse.Namespace) -> int:
     """Fit or import a predictor and publish it; prints the new version."""
-    store = ArtifactStore(args.store, layout=args.layout)
-    if args.npz is not None:
-        model = load_predictor(args.npz)
+    store = ArtifactStore(args.store)
+    if args.predictor is not None:
+        model = load_predictor(args.predictor)
         graph = None
-        meta = {"source": "npz", "path": args.npz}
+        meta = {"source": "predictor", "path": args.predictor}
     else:
         aligned = generate_aligned_pair(scale=args.scale, random_state=args.seed)
         task = TransferTask.from_aligned(aligned, random_state=args.seed)
@@ -250,6 +245,10 @@ def run_inspect(args: argparse.Namespace) -> int:
     print(f"versions  {', '.join(f'v{v:04d}' for v in store.versions())}")
     print(f"inspected v{manifest['version']:04d} — integrity ok")
     print(f"model     {manifest['name']} ({manifest['model_class']})")
+    kind = manifest["kind"]
+    if kind == "sharded":
+        kind += f" ({manifest['n_shards']} shards)"
+    print(f"kind      {kind}")
     print(f"users     {manifest['n_users']}")
     for filename, entry in sorted(manifest["files"].items()):
         print(

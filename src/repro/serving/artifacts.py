@@ -1,23 +1,31 @@
 """Versioned on-disk store for fitted link-prediction artifacts.
 
-An :class:`ArtifactStore` is a plain directory holding one sub-directory per
-published version::
+An :class:`ArtifactStore` is a plain directory holding one sub-directory
+per published version.  Every version is a manifest plus memory-mapped
+``.npy`` arrays, whatever the model::
 
     store/
-    ├── v0001/
-    │   ├── manifest.json    schema version, model name, hyper-parameters,
-    │   │                    per-file sha256 checksums
-    │   ├── model.npz        the predictor (save_predictor format)
-    │   └── graph.npz        optional: known-link adjacency for exclusion
-    └── v0002/
-        └── …
+    ├── v0001/                 a dense or factored predictor
+    │   ├── manifest.json      schema version, kind, model name,
+    │   │                      hyper-parameters, per-file sha256 checksums
+    │   ├── model.json         predictor header (save_predictor layout)
+    │   ├── score_matrix.npy   dense; factored: factor_u.npy … n_users.npy
+    │   └── graph_data.npy     optional known-link graph as CSR arrays,
+    │       graph_indices.npy  used to exclude already-connected pairs
+    │       graph_indptr.npy
+    └── v0002/                 a sharded model (repro.sharding.artifacts):
+        ├── manifest.json      plan_*.npy, graph_*.npy and one
+        └── shard-000/ …       predictor directory per shard
 
 Versions are immutable once published: ``publish`` writes into a hidden
 staging directory and renames it into place, so readers never observe a
-half-written version, and ``load`` re-hashes every file against the
-manifest before deserializing.  All failure modes surface as
+half-written version, and ``load`` re-hashes every file it reads against
+the manifest before deserializing.  All failure modes surface as
 :class:`~repro.exceptions.SerializationError` with the offending path in
-the message.
+the message.  A sharded load degrades instead of failing on a corrupt or
+missing *shard*
+(:attr:`~repro.sharding.artifacts.LoadedShardedArtifact.missing_shards`);
+the manifest, the plan and the graph are always load-or-fail.
 """
 
 from __future__ import annotations
@@ -28,33 +36,35 @@ import os
 import re
 import shutil
 import time
-import zipfile
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
-import numpy as np
 from scipy import sparse
 
 from repro.exceptions import ArtifactCorruptError, SerializationError
 from repro.models.base import MatrixPredictor
 from repro.models.persistence import (
-    FACTORED_LAYOUT_MODEL_JSON,
-    FrozenPredictor,
-    load_factored_layout,
+    MODEL_JSON,
+    load_arrays,
     load_predictor,
-    save_factored_layout,
+    predictor_metadata,
+    save_arrays,
     save_predictor,
 )
 from repro.reliability.faults import fault_point
 from repro.serving.candidates import DenseCandidates, FactoredCandidates
+from repro.sharding.artifacts import (
+    SHARD_DIR,
+    LoadedShardedArtifact,
+    load_plan,
+    save_sharded,
+)
 
-MANIFEST_SCHEMA_VERSION = 1
+MANIFEST_SCHEMA_VERSION = 2
 """Bumped whenever the manifest.json layout changes incompatibly."""
 
 _MANIFEST = "manifest.json"
-_MODEL_FILE = "model.npz"
-GRAPH_FILE = "graph.npz"
-"""The optional known-link graph archive inside a version directory."""
+_GRAPH_ARRAYS = ("data", "indices", "indptr")
 _VERSION_DIR = re.compile(r"^v(\d{4,})$")
 _STAGING_PREFIX = ".staging-"
 
@@ -86,7 +96,7 @@ def file_sha256(path: str) -> str:
 
 @dataclass
 class LoadedArtifact:
-    """One fully-validated artifact pulled out of the store.
+    """One fully-validated dense or factored artifact.
 
     Attributes
     ----------
@@ -97,16 +107,14 @@ class LoadedArtifact:
     predictor:
         The deserialized (refit-proof) predictor.
     adjacency:
-        The known-link adjacency published alongside the model, or ``None``
-        when the publisher provided no graph.
+        The known-link CSR adjacency published alongside the model, or
+        ``None`` when the publisher provided no graph.
     """
 
     version: int
     manifest: Dict
-    predictor: FrozenPredictor
-    adjacency: Optional[np.ndarray] = field(default=None, repr=False)
-    """Dense ndarray for dense artifacts; a scipy CSR matrix when the
-    publisher provided a sparse graph (factored artifacts)."""
+    predictor: MatrixPredictor
+    adjacency: Optional[sparse.csr_matrix] = field(default=None, repr=False)
 
     @property
     def n_users(self) -> int:
@@ -132,27 +140,40 @@ class LoadedArtifact:
         return DenseCandidates(self.predictor, self.adjacency)
 
 
-class VersionedStore:
-    """Directory-per-version mechanics shared by every artifact store.
+class ArtifactStore:
+    """Directory-per-version artifact store with integrity validation.
 
-    One copy of what :class:`ArtifactStore` and
-    :class:`~repro.sharding.artifacts.ShardedArtifactStore` have in
-    common: version directories, latest-version resolution, the staged
-    publish (write into a hidden directory, rename into place, clean up
-    on failure), the schema-checked manifest read and the per-file
-    sha256 verification.  Subclasses choose the file set, the manifest
-    fields and :attr:`SCHEMA_VERSION`.
+    One store holds dense, factored and sharded models alike: ``publish``
+    picks the file set from the model and ``load`` dispatches on the
+    manifest's ``kind``.
 
     Parameters
     ----------
     root:
         The store directory; created (with parents) on first use.
+    layout:
+        ``"npy"``, the one artifact layout; the keyword remains for
+        callers that still pass it, and any other value raises
+        :class:`~repro.exceptions.SerializationError`.
+
+    Examples
+    --------
+    >>> import tempfile
+    >>> import numpy as np
+    >>> from repro.models.persistence import FrozenPredictor
+    >>> store = ArtifactStore(tempfile.mkdtemp())
+    >>> version = store.publish(FrozenPredictor(np.eye(3)))
+    >>> store.resolve_latest() == version == 1
+    True
+    >>> store.load().predictor.score_matrix.shape
+    (3, 3)
     """
 
-    SCHEMA_VERSION = MANIFEST_SCHEMA_VERSION
-    """The manifest ``schema_version`` this store writes and reads."""
-
-    def __init__(self, root: str):
+    def __init__(self, root: str, layout: str = "npy"):
+        if layout != "npy":
+            raise SerializationError(
+                f"layout must be 'npy' (the one artifact layout), got {layout!r}"
+            )
         self.root = str(root)
         os.makedirs(self.root, exist_ok=True)
 
@@ -182,17 +203,40 @@ class VersionedStore:
         return versions[-1]
 
     # -- publish --------------------------------------------------------
-    def _publish_staged(
-        self, write: Callable[[str], Dict], adjacency=None
+    def publish(
+        self,
+        model,
+        graph=None,
+        meta: Optional[Dict] = None,
     ) -> int:
-        """Stage, fill and rename the next version; returns its number.
+        """Write a fitted model as the next version; returns its number.
 
-        ``write(staging)`` writes the version's model files into the
-        staging directory and returns the manifest fields (including
-        ``files``); the optional graph, the schema and the version
-        number are added here.  Any failure removes the staging
-        directory, so readers never observe a half-written version.
+        Parameters
+        ----------
+        model:
+            A fitted matrix predictor (dense or factored) or a fitted
+            :class:`~repro.sharding.model.ShardedSlamPred` (anything with
+            ``plan``, ``estimates`` and ``scales``).  An unfitted model
+            raises ``NotFittedError`` before any disk state is touched.
+        graph:
+            Optional known-link structure — a
+            :class:`~repro.networks.social.SocialGraph`, a square binary
+            adjacency ndarray, or a scipy sparse matrix matching the
+            model's user count.  Serving uses it to exclude
+            already-connected pairs from top-k answers.  Stored as CSR
+            arrays.
+        meta:
+            Extra JSON-compatible metadata recorded in the manifest
+            (experiment name, training scale, …).
         """
+        # Each branch is also the fitted check, before any disk state.
+        if hasattr(model, "plan"):
+            kind, n_users = "sharded", model.plan.n_users
+        elif getattr(model, "factored", False):
+            kind, n_users = "factored", int(model.factored_estimate.n_users)
+        else:
+            kind, n_users = "dense", int(model.score_matrix.shape[0])
+        adjacency = _graph_adjacency(graph, n_users)
         version = (self.versions() or [0])[-1] + 1
         staging = os.path.join(
             self.root, f"{_STAGING_PREFIX}v{version:04d}-{os.getpid()}"
@@ -200,14 +244,34 @@ class VersionedStore:
         os.makedirs(staging)
         try:
             manifest = {
-                "schema_version": self.SCHEMA_VERSION,
+                "schema_version": MANIFEST_SCHEMA_VERSION,
                 "version": version,
-                **write(staging),
+                "name": model.name,
+                "model_class": type(model).__name__,
+                "kind": kind,
+                "n_users": n_users,
+                "created_at": time.time(),  # wall-clock: a timestamp, not a duration
+                "hyper_parameters": predictor_metadata(model),
+                "meta": dict(meta or {}),
             }
+            if kind == "sharded":
+                paths, fields = save_sharded(model, staging)
+                manifest.update(fields)
+            else:
+                paths = save_predictor(model, staging)
             if adjacency is not None:
-                graph_path = os.path.join(staging, GRAPH_FILE)
-                _save_graph(graph_path, adjacency)
-                manifest["files"][GRAPH_FILE] = self._file_entry(graph_path)
+                paths += save_arrays(
+                    staging,
+                    {key: getattr(adjacency, key) for key in _GRAPH_ARRAYS},
+                    prefix="graph_",
+                )
+            manifest["files"] = {
+                os.path.relpath(path, staging): {
+                    "sha256": file_sha256(path),
+                    "bytes": os.path.getsize(path),
+                }
+                for path in sorted(paths)
+            }
             with open(
                 os.path.join(staging, _MANIFEST), "w", encoding="utf-8"
             ) as handle:
@@ -223,13 +287,6 @@ class VersionedStore:
             shutil.rmtree(staging, ignore_errors=True)
             raise
         return version
-
-    @staticmethod
-    def _file_entry(path: str) -> Dict:
-        return {
-            "sha256": file_sha256(path),
-            "bytes": os.path.getsize(path),
-        }
 
     # -- read -----------------------------------------------------------
     def manifest(self, version: Optional[int] = None) -> Dict:
@@ -248,17 +305,15 @@ class VersionedStore:
                 f"corrupt manifest {manifest_path}: {exc}"
             ) from exc
         schema = manifest.get("schema_version")
-        if schema != self.SCHEMA_VERSION:
+        if schema != MANIFEST_SCHEMA_VERSION:
             raise SerializationError(
                 f"manifest {manifest_path} has schema version {schema}; "
-                f"this build reads version {self.SCHEMA_VERSION}"
+                f"this build reads version {MANIFEST_SCHEMA_VERSION}"
             )
         return manifest
 
-    def _verify_file(
-        self, version: int, manifest: Dict, filename: str
-    ) -> str:
-        """Hash-check one manifest file; returns its absolute path."""
+    def _verify_file(self, version: int, manifest: Dict, filename: str) -> None:
+        """Hash-check one file the manifest lists."""
         entry = manifest.get("files", {}).get(filename)
         if entry is None:
             raise ArtifactCorruptError(
@@ -276,7 +331,6 @@ class VersionedStore:
                 f"manifest says sha256 {entry.get('sha256', '?')[:12]}… "
                 f"but the file hashes to {actual[:12]}…"
             )
-        return path
 
     def verify(self, version: Optional[int] = None) -> Dict:
         """Re-hash every file of a version against its manifest.
@@ -284,7 +338,8 @@ class VersionedStore:
         Returns the manifest on success; raises
         :class:`~repro.exceptions.ArtifactCorruptError` (a
         :class:`~repro.exceptions.SerializationError`) naming the first
-        file whose checksum diverges or that is missing.
+        file whose checksum diverges or that is missing — a sharded
+        version's shard files included.
         """
         version = self.resolve_latest() if version is None else int(version)
         manifest = self.manifest(version)
@@ -292,237 +347,128 @@ class VersionedStore:
             self._verify_file(version, manifest, filename)
         return manifest
 
-
-class ArtifactStore(VersionedStore):
-    """Directory-per-version artifact store with integrity validation.
-
-    Parameters
-    ----------
-    root:
-        The store directory; created (with parents) on first use.
-    layout:
-        On-disk shape of *factored* publishes.  ``"npz"`` (default) keeps
-        the single compressed ``model.npz`` archive; ``"npy"`` writes one
-        uncompressed ``.npy`` file per factor array plus a ``model.json``
-        header, which is the only layout numpy can memory-map.  Dense
-        publishes always use ``model.npz``.  Loading is layout-agnostic:
-        every store reads both layouts, so the flag only shapes what this
-        store *writes*.
-    mmap:
-        Whether ``load`` maps npy-layout factor arrays with
-        ``np.load(..., mmap_mode="r")`` (default) instead of copying them
-        onto the heap.  Pass ``False`` — the opt-out for writable paths —
-        to materialize ordinary arrays.  Has no effect on ``.npz``
-        versions, which numpy cannot map.
-
-    Examples
-    --------
-    >>> import tempfile
-    >>> from repro.models.persistence import FrozenPredictor
-    >>> store = ArtifactStore(tempfile.mkdtemp())
-    >>> version = store.publish(FrozenPredictor(np.eye(3)))
-    >>> store.resolve_latest() == version == 1
-    True
-    >>> store.load().predictor.score_matrix.shape
-    (3, 3)
-    """
-
-    def __init__(self, root: str, layout: str = "npz", mmap: bool = True):
-        if layout not in ("npz", "npy"):
-            raise SerializationError(
-                f"layout must be 'npz' or 'npy', got {layout!r}"
-            )
-        super().__init__(root)
-        self.layout = layout
-        self.mmap = bool(mmap)
-
-    # -- publish --------------------------------------------------------
-    def publish(
-        self,
-        model: MatrixPredictor,
-        graph=None,
-        meta: Optional[Dict] = None,
-    ) -> int:
-        """Write a fitted predictor as the next version; returns its number.
-
-        Parameters
-        ----------
-        model:
-            Any fitted matrix predictor (raises ``NotFittedError`` before
-            any disk state is touched if it is not).
-        graph:
-            Optional known-link structure — a
-            :class:`~repro.networks.social.SocialGraph`, a square binary
-            adjacency ndarray, or a scipy sparse matrix matching the
-            predictor's user count.  Serving uses it to exclude
-            already-connected pairs from top-k answers.  Sparse inputs
-            stay sparse on disk (CSR arrays), which is how factored
-            publishes keep the whole artifact O(nk).
-        meta:
-            Extra JSON-compatible metadata recorded in the manifest
-            (experiment name, training scale, …).
-        """
-        factored = bool(getattr(model, "factored", False))
-        if factored:
-            # Fitted check before touching disk; never densifies.
-            n_users = int(model.factored_estimate.n_users)
-        else:
-            n_users = int(model.score_matrix.shape[0])
-        adjacency = graph_adjacency(graph, n_users, "predictor")
-        npy = factored and self.layout == "npy"
-
-        def write(staging: str) -> Dict:
-            if npy:
-                # Memory-mappable layout: one raw .npy per factor array.
-                written = save_factored_layout(model, staging)
-                files = {
-                    name: self._file_entry(path)
-                    for name, path in sorted(written.items())
-                }
-            else:
-                model_path = os.path.join(staging, _MODEL_FILE)
-                save_predictor(model, model_path)
-                files = {_MODEL_FILE: self._file_entry(model_path)}
-            return {
-                "name": model.name,
-                "model_class": type(model).__name__,
-                "kind": "factored" if factored else "dense",
-                "layout": "npy" if npy else "npz",
-                "n_users": n_users,
-                "created_at": time.time(),  # wall-clock: a timestamp, not a duration
-                "hyper_parameters": _scalar_params(model),
-                "meta": dict(meta or {}),
-                "files": files,
-            }
-
-        return self._publish_staged(write, adjacency)
-
-    # -- read -----------------------------------------------------------
-    def load(self, version: Optional[int] = None) -> LoadedArtifact:
+    def load(self, version: Optional[int] = None):
         """Load and validate a version (default: latest).
 
-        Every file is checksum-verified against the manifest before
-        deserialization, and the model archive additionally verifies its
-        own embedded content digest.
+        Returns a :class:`LoadedArtifact`, or a
+        :class:`~repro.sharding.artifacts.LoadedShardedArtifact` when the
+        manifest's ``kind`` is ``sharded``.  Every file is
+        checksum-verified against the manifest before deserialization,
+        and every predictor (each shard included) verifies its own
+        content digest.  Arrays come back read-only and memory-mapped.
 
-        Two chaos sites cover this path: ``artifact.slow_read`` (a
-        delay-only site modelling a stalled disk or network mount) and
+        A sharded load skips an invalid *shard* — recorded in
+        ``missing_shards`` — while the manifest, the plan and the graph
+        stay load-or-fail: serving can answer from a subset of shards,
+        but not without knowing the partition.  A version with no
+        loadable shard at all fails.  :meth:`verify` is the
+        all-or-nothing check of every file.
+
+        Three chaos sites cover this path: ``artifact.slow_read`` (a
+        delay-only site modelling a stalled disk or network mount),
         ``artifact.read`` (raises
         :class:`~repro.exceptions.ArtifactCorruptError`, modelling a read
-        that fails integrity validation).
+        that fails integrity validation) and ``sharding.shard_read``
+        (once per shard read, failing only that shard).
         """
         version = self.resolve_latest() if version is None else int(version)
         fault_point("artifact.slow_read")
         fault_point("artifact.read")
-        manifest = self.verify(version)
-        directory = self.path(version)
-        if FACTORED_LAYOUT_MODEL_JSON in manifest.get("files", {}):
-            # Raw-.npy factored layout: map the factor arrays read-only
-            # (unless this store opted out), so installing the artifact
-            # never copies the O(nk) payload onto the heap.
-            predictor = load_factored_layout(
-                directory, mmap_mode="r" if self.mmap else None
-            )
-        else:
-            predictor = load_predictor(os.path.join(directory, _MODEL_FILE))
-        adjacency = None
-        if GRAPH_FILE in manifest.get("files", {}):
-            adjacency = graph_adjacency(
-                load_graph(os.path.join(directory, GRAPH_FILE)),
-                int(predictor.n_users),
-                "predictor",
-            )
+        manifest = self.manifest(version)
+        if manifest.get("kind") == "sharded":
+            return self._load_sharded(version, manifest)
+        self.verify(version)
+        predictor = load_predictor(self.path(version))
         return LoadedArtifact(
             version=version,
             manifest=manifest,
             predictor=predictor,
-            adjacency=adjacency,
+            adjacency=self._load_graph(version, manifest, predictor.n_users),
         )
 
+    def _load_sharded(self, version: int, manifest: Dict) -> LoadedShardedArtifact:
+        """The lenient per-shard load behind :meth:`load`."""
+        files = manifest.get("files", {})
+        for filename in files:
+            if not filename.startswith("shard-"):
+                self._verify_file(version, manifest, filename)
+        directory = self.path(version)
+        plan, scales = load_plan(directory)
+        adjacency = self._load_graph(version, manifest, plan.n_users)
+        estimates: Dict[int, object] = {}
+        missing: List[int] = []
+        for s in range(plan.n_shards):
+            shard = SHARD_DIR % s
+            try:
+                fault_point("sharding.shard_read")
+                # The shard's header is required: its digest binds the
+                # shard's arrays.
+                listed = {f"{shard}/{MODEL_JSON}"}
+                listed.update(f for f in files if f.startswith(shard + "/"))
+                for filename in sorted(listed):
+                    self._verify_file(version, manifest, filename)
+                predictor = load_predictor(os.path.join(directory, shard))
+            except SerializationError:
+                missing.append(s)
+                continue
+            if (
+                not getattr(predictor, "factored", False)
+                or predictor.n_users != plan.members[s].size
+            ):
+                # Not a factored predictor, or one covering a different
+                # member count than the plan lists for this shard.
+                missing.append(s)
+                continue
+            estimates[s] = predictor.factored_estimate
+        if not estimates:
+            raise SerializationError(
+                f"artifact v{version:04d} has no loadable shards"
+            )
+        return LoadedShardedArtifact(
+            version=version,
+            manifest=manifest,
+            plan=plan,
+            scales=scales,
+            estimates=estimates,
+            adjacency=adjacency,
+            missing_shards=missing,
+        )
 
-def graph_adjacency(graph, n_users: int, owner: str, dense: bool = True):
-    """The float adjacency of a graph (``None`` stays ``None``).
+    def _load_graph(self, version: int, manifest: Dict, n_users: int):
+        """The version's verified known-link CSR graph, or ``None``."""
+        if "graph_data.npy" not in manifest.get("files", {}):
+            return None
+        try:
+            arrays = load_arrays(self.path(version), _GRAPH_ARRAYS, "graph_")
+            return sparse.csr_matrix(
+                tuple(arrays[key] for key in _GRAPH_ARRAYS),
+                shape=(n_users, n_users),
+            )
+        except (ValueError, OSError) as exc:
+            raise SerializationError(
+                f"cannot load the graph of artifact v{version:04d}: {exc}"
+            ) from exc
+
+
+def _graph_adjacency(graph, n_users: int):
+    """The canonical float CSR adjacency of a graph (``None`` stays ``None``).
 
     ``graph`` is a :class:`~repro.networks.social.SocialGraph`, an
-    ndarray or a scipy sparse matrix; sparse inputs (all inputs when
-    ``dense`` is false) become CSR.  Raises
+    ndarray or a scipy sparse matrix.  Raises
     :class:`~repro.exceptions.SerializationError` unless it is
     ``n_users`` square.
     """
     if graph is None:
         return None
-    adjacency = getattr(graph, "adjacency", graph)
-    if sparse.issparse(adjacency) or not dense:
-        adjacency = sparse.csr_matrix(adjacency, dtype=float)
-    else:
-        adjacency = np.asarray(adjacency, dtype=float)
+    adjacency = sparse.csr_matrix(
+        getattr(graph, "adjacency", graph), dtype=float, copy=True
+    )
     if adjacency.shape != (n_users, n_users):
         raise SerializationError(
             f"graph adjacency {adjacency.shape} does not match the "
-            f"{owner}'s {(n_users, n_users)}"
+            f"model's {(n_users, n_users)}"
         )
+    # Sorted, duplicate-free indices: a read-only mapped copy is then
+    # never re-sorted in place by scipy.
+    adjacency.sum_duplicates()
     return adjacency
-
-
-def _save_graph(graph_path: str, adjacency) -> None:
-    """Write a known-link graph archive: sparse as CSR arrays, else dense."""
-    if sparse.issparse(adjacency):
-        np.savez_compressed(
-            graph_path,
-            format=np.frombuffer(b"csr", dtype=np.uint8),
-            data=adjacency.data,
-            indices=adjacency.indices,
-            indptr=adjacency.indptr,
-            shape=np.asarray(adjacency.shape, dtype=np.int64),
-        )
-    else:
-        np.savez_compressed(graph_path, adjacency=adjacency)
-
-
-def load_graph(graph_path: str):
-    """Read a published graph archive — dense ndarray or sparse CSR.
-
-    The archive self-describes: a ``format`` marker (b"csr") selects the
-    sparse layout, otherwise the legacy dense ``adjacency`` array is read.
-    """
-    try:
-        with np.load(graph_path) as data:
-            if "format" in data.files:
-                marker = bytes(np.asarray(data["format"])).decode("ascii")
-                if marker != "csr":
-                    raise SerializationError(
-                        f"unknown graph format {marker!r} in {graph_path}"
-                    )
-                shape = tuple(int(v) for v in data["shape"])
-                return sparse.csr_matrix(
-                    (data["data"], data["indices"], data["indptr"]),
-                    shape=shape,
-                )
-            return np.asarray(data["adjacency"], dtype=float)
-    except (KeyError, ValueError, OSError, zipfile.BadZipFile) as exc:
-        raise SerializationError(
-            f"cannot load graph archive {graph_path}: {exc}"
-        ) from exc
-
-
-def _scalar_params(model: MatrixPredictor) -> Dict:
-    """JSON-safe scalar hyper-parameters of a model (same rule as persistence)."""
-    params = {}
-    for key, value in vars(model).items():
-        if key.startswith("_") or key in ("metadata",):
-            continue
-        if isinstance(value, (int, float, str, bool)) or value is None:
-            params[key] = value
-        elif isinstance(value, (list, tuple)) and all(
-            isinstance(v, (int, float, str, bool)) for v in value
-        ):
-            params[key] = list(value)
-    if isinstance(model, FrozenPredictor):
-        params.update(
-            {
-                k: v
-                for k, v in model.metadata.items()
-                if isinstance(v, (int, float, str, bool, list)) or v is None
-            }
-        )
-    return params

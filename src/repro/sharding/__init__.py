@@ -13,21 +13,21 @@ independently:
   directories.
 * :mod:`repro.sharding.stitching` — calibrate per-shard score scales
   through the replicated anchors so cross-shard rankings agree.
-* :mod:`repro.sharding.artifacts` — versioned sha256-verified multi-file
-  artifact layout with partial-degradation loading.
+* :mod:`repro.sharding.artifacts` — the sharded file set inside a
+  version of the one artifact store (plan arrays plus one predictor
+  directory per shard) and the loaded, possibly degraded, form.
 * :mod:`repro.sharding.gather` — ``ScatterGather``, the candidate
   source a loaded sharded artifact builds: per-shard candidates merged
   with a deterministic tie-break, per-shard breakers and health.
 
-A sharded artifact is served by the one serving service,
-``LinkPredictionService(ShardedArtifactStore(root))``, with the same
-cache, reload, breaker, degraded tier and HTTP surface as any other.
+A fitted sharded model is published to the one artifact store,
+:class:`~repro.serving.artifacts.ArtifactStore`, whose load degrades
+per shard, and served by the one serving service,
+``LinkPredictionService(ArtifactStore(root))``, with the same cache,
+reload, breaker, degraded tier and HTTP surface as any other.
 """
 
-from repro.sharding.artifacts import (
-    LoadedShardedArtifact,
-    ShardedArtifactStore,
-)
+from repro.sharding.artifacts import LoadedShardedArtifact
 from repro.sharding.model import ShardedSlamPred, fit_shard
 from repro.sharding.partition import (
     ShardPlan,
@@ -42,7 +42,6 @@ from repro.sharding.stitching import (
 __all__ = [
     "LoadedShardedArtifact",
     "ShardPlan",
-    "ShardedArtifactStore",
     "ShardedSlamPred",
     "boundary_disagreement",
     "detect_communities",

@@ -154,7 +154,7 @@ class ShardPlan:
 
     # -- serialization ---------------------------------------------------
     def to_arrays(self) -> Dict[str, np.ndarray]:
-        """Flat integer arrays for an ``.npz`` round trip."""
+        """Flat integer arrays for an on-disk round trip."""
         offsets = np.zeros(self.n_shards + 1, dtype=np.int64)
         for s, shard_anchors in enumerate(self.anchors):
             offsets[s + 1] = offsets[s] + shard_anchors.size

@@ -1,6 +1,7 @@
 """Tests for repro.models.persistence."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -20,9 +21,10 @@ from repro.models.unsupervised import CommonNeighbors
 class TestRoundTrip:
     def test_scores_preserved(self, task, split, tmp_path):
         model = CommonNeighbors().fit(task)
-        path = str(tmp_path / "cn.npz")
+        path = str(tmp_path / "cn")
         save_predictor(model, path)
         loaded = load_predictor(path)
+        assert type(loaded.score_matrix) is np.ndarray
         assert np.array_equal(loaded.score_matrix, model.score_matrix)
         assert np.array_equal(
             loaded.score_pairs(split.test_pairs),
@@ -31,7 +33,7 @@ class TestRoundTrip:
 
     def test_metadata_preserved(self, task, tmp_path):
         model = SlamPredT(gamma=0.07, tau=2.0).fit(task)
-        path = str(tmp_path / "slampred.npz")
+        path = str(tmp_path / "slampred")
         save_predictor(model, path)
         loaded = load_predictor(path)
         assert loaded.name == "SLAMPRED-T"
@@ -41,19 +43,18 @@ class TestRoundTrip:
 
     def test_unfitted_save_raises(self, tmp_path):
         with pytest.raises(NotFittedError):
-            save_predictor(CommonNeighbors(), str(tmp_path / "x.npz"))
+            save_predictor(CommonNeighbors(), str(tmp_path / "x"))
 
     def test_load_garbage_raises(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        path.write_bytes(b"not an npz")
+        (tmp_path / "model.json").write_bytes(b"not a header")
         with pytest.raises(SerializationError):
-            load_predictor(str(path))
+            load_predictor(str(tmp_path))
 
     def test_hyper_parameter_fidelity(self, task, tmp_path):
         model = SlamPredT(
             gamma=0.11, tau=1.5, mu=0.8, step_size=0.04, latent_dimension=4
         ).fit(task)
-        path = str(tmp_path / "m.npz")
+        path = str(tmp_path / "m")
         save_predictor(model, path)
         metadata = load_predictor(path).metadata
         assert metadata["gamma"] == 0.11
@@ -64,86 +65,71 @@ class TestRoundTrip:
         assert metadata["alpha_sources"] == model.alpha_sources
 
 
+def _header(directory):
+    with open(os.path.join(directory, "model.json"), encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _write_header(directory, header):
+    with open(os.path.join(directory, "model.json"), "w", encoding="utf-8") as handle:
+        json.dump(header, handle)
+
+
 class TestIntegrity:
     @pytest.fixture()
     def saved(self, tmp_path):
         frozen = FrozenPredictor(np.arange(16.0).reshape(4, 4), {"name": "x"})
-        path = str(tmp_path / "frozen.npz")
+        path = str(tmp_path / "frozen")
         save_predictor(frozen, path)
         return path
 
     def test_digest_embedded(self, saved):
-        with np.load(saved) as data:
-            assert int(data["version"][0]) == 2
-            digest = bytes(data["digest"]).decode("ascii")
-        assert len(digest) == 64
+        header = _header(saved)
+        assert header["format_version"] == 1
+        assert header["kind"] == "dense"
+        assert len(header["digest"]) == 64
 
-    def test_unsupported_format_version(self, saved, tmp_path):
-        with np.load(saved) as data:
-            arrays = dict(data)
-        arrays["version"] = np.array([99])
-        path = str(tmp_path / "future.npz")
-        np.savez_compressed(path, **arrays)
-        with pytest.raises(SerializationError, match="format version 99"):
-            load_predictor(path)
+    def test_unsupported_format_version(self, saved):
+        header = _header(saved)
+        header["format_version"] = 99
+        _write_header(saved, header)
+        with pytest.raises(SerializationError, match="format .* v99"):
+            load_predictor(saved)
 
-    def test_tampered_matrix_rejected(self, saved, tmp_path):
-        with np.load(saved) as data:
-            arrays = dict(data)
-        arrays["score_matrix"] = arrays["score_matrix"] + 1.0
-        path = str(tmp_path / "tampered.npz")
-        np.savez_compressed(path, **arrays)
+    def test_tampered_matrix_rejected(self, saved):
+        path = os.path.join(saved, "score_matrix.npy")
+        np.save(path, np.load(path) + 1.0)
         with pytest.raises(SerializationError, match="integrity"):
-            load_predictor(path)
+            load_predictor(saved)
 
-    def test_tampered_metadata_rejected(self, saved, tmp_path):
-        with np.load(saved) as data:
-            arrays = dict(data)
-        blob = json.loads(bytes(arrays["metadata"]).decode("utf-8"))
+    def test_tampered_metadata_rejected(self, saved):
+        header = _header(saved)
+        blob = json.loads(header["metadata_json"])
         blob["name"] = "evil"
-        arrays["metadata"] = np.frombuffer(
-            json.dumps(blob).encode("utf-8"), dtype=np.uint8
-        )
-        path = str(tmp_path / "renamed.npz")
-        np.savez_compressed(path, **arrays)
+        header["metadata_json"] = json.dumps(blob)
+        _write_header(saved, header)
         with pytest.raises(SerializationError, match="integrity"):
-            load_predictor(path)
+            load_predictor(saved)
 
     def test_truncated_file_raises_serialization_error(self, saved):
-        blob = open(saved, "rb").read()
-        open(saved, "wb").write(blob[: len(blob) // 3])
+        path = os.path.join(saved, "score_matrix.npy")
+        blob = open(path, "rb").read()
+        open(path, "wb").write(blob[: len(blob) // 3])
         with pytest.raises(SerializationError, match="cannot load"):
             load_predictor(saved)
 
-    def test_missing_digest_field_rejected(self, saved, tmp_path):
-        with np.load(saved) as data:
-            arrays = dict(data)
-        del arrays["digest"]
-        path = str(tmp_path / "stripped.npz")
-        np.savez_compressed(path, **arrays)
+    def test_missing_digest_field_rejected(self, saved):
+        header = _header(saved)
+        del header["digest"]
+        _write_header(saved, header)
         with pytest.raises(SerializationError, match="cannot load"):
-            load_predictor(path)
-
-    def test_legacy_v1_archive_still_loads(self, tmp_path):
-        matrix = np.eye(3)
-        metadata_json = json.dumps({"name": "legacy"})
-        path = str(tmp_path / "v1.npz")
-        np.savez_compressed(
-            path,
-            version=np.array([1]),
-            score_matrix=matrix,
-            metadata=np.frombuffer(
-                metadata_json.encode("utf-8"), dtype=np.uint8
-            ),
-        )
-        loaded = load_predictor(path)
-        assert loaded.name == "legacy"
-        assert np.array_equal(loaded.score_matrix, matrix)
+            load_predictor(saved)
 
     def test_content_digest_is_deterministic(self):
-        matrix = np.ones((2, 2))
+        matrix = {"score_matrix": np.ones((2, 2))}
+        shifted = {"score_matrix": np.ones((2, 2)) + 1}
         assert content_digest(matrix, "{}") == content_digest(matrix, "{}")
-        assert content_digest(matrix, "{}") != content_digest(matrix + 1, "{}")
+        assert content_digest(matrix, "{}") != content_digest(shifted, "{}")
         assert content_digest(matrix, "{}") != content_digest(matrix, '{"a":1}')
 
 

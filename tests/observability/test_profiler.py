@@ -188,6 +188,25 @@ class TestAttribution:
         assert snap["total_samples"] == 0
         assert snap["entries"] == []
 
+    def test_frames_are_read_with_the_collector_paused(self, monkeypatch):
+        # A collection inside sys._current_frames() can free a
+        # threading.local whose cleanup takes the lock the call holds:
+        # CPython 3.11 hangs, so sampling pauses the collector around it.
+        import gc
+        import sys
+
+        seen = []
+
+        def frames():
+            seen.append(gc.isenabled())
+            return {}
+
+        monkeypatch.setattr(sys, "_current_frames", frames)
+        assert gc.isenabled()
+        ContinuousProfiler().sample_once()
+        assert seen == [False]
+        assert gc.isenabled()
+
     def test_render_table_mentions_totals(self):
         profiler = ContinuousProfiler()
         table = profiler.render_table()

@@ -3,7 +3,7 @@
 A factored publish stores O(nk) factor arrays instead of the n×n matrix.
 These tests pin three contracts: (1) a publish → reload round trip is
 score-identical; (2) the sha256 digest over the factor arrays rejects a
-corrupted archive with :class:`ArtifactCorruptError`; (3) a service
+corrupted factor file with :class:`ArtifactCorruptError`; (3) a service
 backed by the factored artifact answers ``top_k`` / ``batch_top_k`` /
 ``score`` identically to one backed by the dense materialization of the
 same estimate.
@@ -63,7 +63,7 @@ def dense_twin(factored_model):
 
 class TestPersistenceRoundTrip:
     def test_reload_is_score_identical(self, factored_model, tmp_path):
-        path = str(tmp_path / "model.npz")
+        path = str(tmp_path / "model")
         save_predictor(factored_model, path)
         loaded = load_predictor(path)
         assert isinstance(loaded, FrozenFactoredPredictor)
@@ -78,7 +78,7 @@ class TestPersistenceRoundTrip:
         )
 
     def test_metadata_survives(self, factored_model, tmp_path):
-        path = str(tmp_path / "model.npz")
+        path = str(tmp_path / "model")
         save_predictor(factored_model, path)
         loaded = load_predictor(path)
         assert loaded.metadata["name"] == "SLAMPRED-H"
@@ -88,23 +88,23 @@ class TestPersistenceRoundTrip:
     def test_archive_stores_factors_not_matrix(
         self, factored_model, tmp_path
     ):
-        path = str(tmp_path / "model.npz")
+        path = str(tmp_path / "model")
         save_predictor(factored_model, path)
-        with np.load(path) as data:
-            assert "score_matrix" not in data.files
-            assert "factor_u" in data.files
-            assert "residual_data" in data.files
+        files = os.listdir(path)
+        assert "score_matrix.npy" not in files
+        assert "factor_u.npy" in files
+        assert "residual_data.npy" in files
 
 
 class TestIntegrity:
     def _corrupted(self, factored_model, tmp_path, key):
-        path = str(tmp_path / "model.npz")
+        path = str(tmp_path / "model")
         save_predictor(factored_model, path)
-        with np.load(path) as data:
-            arrays = {name: np.array(data[name]) for name in data.files}
-        flat = arrays[key].ravel()
+        array_path = os.path.join(path, f"{key}.npy")
+        array = np.load(array_path)
+        flat = array.ravel()
         flat[flat.size // 2] += 1.0  # one flipped value, digest kept as-is
-        np.savez_compressed(path, **arrays)
+        np.save(array_path, array)
         return path
 
     @pytest.mark.parametrize("key", ["factor_u", "factor_s", "residual_data"])
@@ -115,20 +115,19 @@ class TestIntegrity:
 
     def test_inconsistent_factors_rejected(self, factored_model, tmp_path):
         """Shape-breaking tampering fails cleanly even with a fixed digest."""
-        path = str(tmp_path / "model.npz")
+        path = str(tmp_path / "model")
         save_predictor(factored_model, path)
-        with np.load(path) as data:
-            arrays = {name: np.array(data[name]) for name in data.files}
-        arrays["residual_indptr"] = arrays["residual_indptr"][:-3]
-        np.savez_compressed(path, **arrays)
+        indptr_path = os.path.join(path, "residual_indptr.npy")
+        np.save(indptr_path, np.load(indptr_path)[:-3])
         with pytest.raises(SerializationError):
             load_predictor(path)
 
     def test_truncated_file_rejected(self, factored_model, tmp_path):
-        path = str(tmp_path / "model.npz")
+        path = str(tmp_path / "model")
         save_predictor(factored_model, path)
-        with open(path, "r+b") as handle:
-            handle.truncate(os.path.getsize(path) // 2)
+        factor_path = os.path.join(path, "factor_u.npy")
+        with open(factor_path, "r+b") as handle:
+            handle.truncate(os.path.getsize(factor_path) // 2)
         with pytest.raises(SerializationError):
             load_predictor(path)
 
@@ -171,16 +170,15 @@ class TestArtifactStore:
         file hash still trips the inner factored content digest."""
         store = ArtifactStore(str(tmp_path / "store"))
         store.publish(factored_model, graph=adjacency)
-        model_path = os.path.join(store.path(1), "model.npz")
-        with np.load(model_path) as data:
-            arrays = {name: np.array(data[name]) for name in data.files}
-        arrays["factor_vt"].ravel()[0] += 0.5
-        np.savez_compressed(model_path, **arrays)
+        factor_path = os.path.join(store.path(1), "factor_vt.npy")
+        factor = np.load(factor_path)
+        factor.ravel()[0] += 0.5
+        np.save(factor_path, factor)
         manifest_path = os.path.join(store.path(1), "manifest.json")
         with open(manifest_path) as handle:
             manifest = json.load(handle)
-        manifest["files"]["model.npz"]["sha256"] = file_sha256(model_path)
-        manifest["files"]["model.npz"]["bytes"] = os.path.getsize(model_path)
+        manifest["files"]["factor_vt.npy"]["sha256"] = file_sha256(factor_path)
+        manifest["files"]["factor_vt.npy"]["bytes"] = os.path.getsize(factor_path)
         with open(manifest_path, "w") as handle:
             json.dump(manifest, handle)
         with pytest.raises(ArtifactCorruptError):

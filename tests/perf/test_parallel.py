@@ -64,6 +64,20 @@ class TestParallelMap:
         for a, b in zip(seq, par):
             assert np.array_equal(a, b)
 
+    def test_sequential_items_join_the_callers_trace(self):
+        """A span opened by an item on the calling thread is recorded."""
+        from repro.observability.tracer import Tracer
+
+        tracer = Tracer()
+
+        def work(x):
+            with tracer.span("inner"):
+                return x
+
+        with tracer.trace("fit") as trace:
+            parallel_map(work, [0], max_workers=1)
+        assert trace.phase_totals()["inner"]["count"] == 1
+
 
 class TestDefaultWorkers:
     def test_bounded_by_items(self):

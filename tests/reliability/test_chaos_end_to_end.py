@@ -254,7 +254,7 @@ class TestStaleServeOnCorruptPublish:
         before = service.top_k(2, k=3)
         scores = rng.normal(size=(16, 16))
         version = store.publish(FrozenPredictor((scores + scores.T) / 2.0))
-        model_path = os.path.join(store.path(version), "model.npz")
+        model_path = os.path.join(store.path(version), "score_matrix.npy")
         with open(model_path, "wb") as handle:
             handle.write(b"corrupted beyond repair")
         assert service.reload() is False

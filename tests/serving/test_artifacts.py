@@ -6,7 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from repro.exceptions import NotFittedError, SerializationError
+from repro.exceptions import (
+    ArtifactCorruptError,
+    NotFittedError,
+    SerializationError,
+)
 from repro.models.persistence import FrozenPredictor
 from repro.models.unsupervised import CommonNeighbors
 from repro.serving.artifacts import (
@@ -27,8 +31,9 @@ class TestPublish:
         version_dir = store.path(1)
         assert os.path.isdir(version_dir)
         assert os.path.isfile(os.path.join(version_dir, "manifest.json"))
-        assert os.path.isfile(os.path.join(version_dir, "model.npz"))
-        assert os.path.isfile(os.path.join(version_dir, "graph.npz"))
+        assert os.path.isfile(os.path.join(version_dir, "model.json"))
+        assert os.path.isfile(os.path.join(version_dir, "score_matrix.npy"))
+        assert os.path.isfile(os.path.join(version_dir, "graph_indices.npy"))
 
     def test_no_staging_leftovers(self, store):
         assert not [
@@ -44,7 +49,14 @@ class TestPublish:
         assert manifest["name"] == "toy-model"
         assert manifest["n_users"] == 24
         assert manifest["meta"] == {"origin": "test"}
-        assert set(manifest["files"]) == {"model.npz", "graph.npz"}
+        assert manifest["kind"] == "dense"
+        assert set(manifest["files"]) == {
+            "model.json",
+            "score_matrix.npy",
+            "graph_data.npy",
+            "graph_indices.npy",
+            "graph_indptr.npy",
+        }
         for entry in manifest["files"].values():
             assert len(entry["sha256"]) == 64
             assert entry["bytes"] > 0
@@ -75,7 +87,8 @@ class TestLoad:
         assert np.array_equal(
             artifact.predictor.score_matrix, predictor.score_matrix
         )
-        assert np.array_equal(artifact.adjacency, adjacency)
+        assert type(artifact.predictor.score_matrix) is np.ndarray
+        assert np.array_equal(artifact.adjacency.toarray(), adjacency)
         assert artifact.predictor.metadata["gamma"] == 0.05
 
     def test_load_without_graph(self, tmp_path, predictor):
@@ -103,22 +116,35 @@ class TestLoad:
 
 class TestIntegrity:
     def test_tampered_model_rejected(self, store):
-        path = os.path.join(store.path(1), "model.npz")
+        path = os.path.join(store.path(1), "score_matrix.npy")
         blob = bytearray(open(path, "rb").read())
         blob[len(blob) // 2] ^= 0xFF
         open(path, "wb").write(bytes(blob))
         with pytest.raises(SerializationError, match="integrity"):
             store.load()
 
+    def test_tampered_matrix_caught_behind_rewritten_checksums(self, store):
+        # The manifest checksum is rewritten to match the tampered file,
+        # so only the predictor's content digest in model.json can catch it.
+        path = os.path.join(store.path(1), "score_matrix.npy")
+        np.save(path, np.load(path) + 1.0)
+        manifest_path = os.path.join(store.path(1), "manifest.json")
+        manifest = json.load(open(manifest_path))
+        manifest["files"]["score_matrix.npy"]["sha256"] = file_sha256(path)
+        json.dump(manifest, open(manifest_path, "w"))
+        store.verify(1)
+        with pytest.raises(ArtifactCorruptError, match="integrity"):
+            store.load()
+
     def test_truncated_graph_rejected(self, store):
-        path = os.path.join(store.path(1), "graph.npz")
+        path = os.path.join(store.path(1), "graph_indices.npy")
         blob = open(path, "rb").read()
         open(path, "wb").write(blob[: len(blob) // 2])
         with pytest.raises(SerializationError, match="integrity"):
             store.load()
 
     def test_missing_file_rejected(self, store):
-        os.remove(os.path.join(store.path(1), "graph.npz"))
+        os.remove(os.path.join(store.path(1), "graph_indptr.npy"))
         with pytest.raises(SerializationError, match="missing"):
             store.load()
 

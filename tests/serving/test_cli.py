@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.models.persistence import FrozenPredictor, save_predictor
 from repro.serving.__main__ import build_parser, main
@@ -55,10 +56,10 @@ class TestRouteRateParsing:
 
 class TestPublishCommand:
     def test_publish_from_npz(self, tmp_path, predictor, capsys):
-        npz = str(tmp_path / "model.npz")
-        save_predictor(predictor, npz)
+        saved = str(tmp_path / "model")
+        save_predictor(predictor, saved)
         store_dir = str(tmp_path / "store")
-        assert main(["publish", "--store", store_dir, "--npz", npz]) == 0
+        assert main(["publish", "--store", store_dir, "--predictor", saved]) == 0
         out = capsys.readouterr().out
         assert "published" in out and "v0001" in out
         store = ArtifactStore(store_dir)
@@ -66,7 +67,7 @@ class TestPublishCommand:
         assert np.array_equal(
             artifact.predictor.score_matrix, predictor.score_matrix
         )
-        assert artifact.manifest["meta"]["source"] == "npz"
+        assert artifact.manifest["meta"]["source"] == "predictor"
 
     def test_publish_synthetic_fit_and_serve_round_trip(self, tmp_path, capsys):
         store_dir = str(tmp_path / "store")
@@ -98,7 +99,8 @@ class TestInspectCommand:
         out = capsys.readouterr().out
         assert "integrity ok" in out
         assert "toy-model" in out
-        assert "model.npz" in out
+        assert "kind      dense" in out
+        assert "score_matrix.npy" in out
         assert "sha256" in out
 
     def test_inspect_json(self, store, capsys):
@@ -107,6 +109,68 @@ class TestInspectCommand:
         assert main(["inspect", "--store", store.root, "--json"]) == 0
         manifest = json.loads(capsys.readouterr().out)
         assert manifest["version"] == 1
+
+
+@pytest.fixture(scope="module")
+def sharded(tmp_path_factory):
+    """A store holding one 2-shard ShardedSlamPred fit, plus model and graph."""
+    from repro.sharding.model import ShardedSlamPred
+
+    rng = np.random.default_rng(5)
+    n = 120
+    labels = np.arange(n) // (n // 2)
+    probs = np.where(labels[:, None] == labels[None, :], 0.3, 0.02)
+    dense = np.triu((rng.random((n, n)) < probs).astype(float), 1)
+    adjacency = sparse.csr_matrix(dense + dense.T)
+    model = ShardedSlamPred(
+        n_shards=2,
+        svd_rank=6,
+        inner_iterations=3,
+        outer_iterations=2,
+        use_processes=False,
+    ).fit(adjacency, labels=labels)
+    store = ArtifactStore(str(tmp_path_factory.mktemp("sharded")))
+    store.publish(model, graph=adjacency)
+    return store, model, adjacency
+
+
+class TestShardedStore:
+    def test_inspect_prints_kind_and_shard_count(self, sharded, capsys):
+        store, _, _ = sharded
+        assert main(["inspect", "--store", store.root]) == 0
+        out = capsys.readouterr().out
+        assert "integrity ok" in out
+        assert "kind      sharded (2 shards)" in out
+        assert "shard-001/model.json" in out
+
+    def test_service_built_like_serve_answers_top_k(self, sharded):
+        from repro.observability.metrics import MetricsRegistry
+        from repro.observability.tracer import Tracer
+        from repro.sharding.artifacts import LoadedShardedArtifact
+
+        store, model, adjacency = sharded
+        # run_serve hands the store path to the service.
+        service = LinkPredictionService(store.root, cache_size=1024)
+        assert service.artifact.n_shards == 2
+        assert not service.artifact.missing_shards
+        # The same scatter-gather over the in-memory fit, never published.
+        in_memory = LoadedShardedArtifact(
+            version=0,
+            manifest={},
+            plan=model.plan,
+            scales=model.scales,
+            estimates=dict(enumerate(model.estimates)),
+            adjacency=adjacency,
+        ).candidates(Tracer(), MetricsRegistry())
+        for user in (0, 61, 119):
+            ranking = service.top_k(user, k=5)
+            assert len(ranking) == 5
+            assert ranking == in_memory.rank([user], [5])[0][0]
+            for candidate, score in ranking:
+                assert candidate != user and adjacency[user, candidate] == 0
+                assert service.score(user, candidate) == in_memory.score(
+                    user, candidate
+                )
 
 
 class TestExperimentsPublishFlag:

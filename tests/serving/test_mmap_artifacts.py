@@ -1,17 +1,18 @@
-"""Zero-copy artifact loading: npy layout, mmap reloads, chunked digests.
+"""Zero-copy artifact loading: the npy layout, mmap reloads, chunked digests.
 
-The ``npy`` store layout writes one uncompressed ``.npy`` file per
-factor array so :func:`numpy.load` can memory-map them on read; a
-hot-swap ``reload()`` then *maps* pages instead of copying O(nk)
-floats.  These tests pin the three legs of that contract:
+Every artifact is one uncompressed ``.npy`` file per array, so
+:func:`numpy.load` memory-maps them on read; a hot-swap ``reload()``
+then *maps* pages instead of copying O(nk) floats.  These tests pin the
+legs of that contract:
 
-* parity — an npy-layout artifact answers byte-identical scores to the
-  same predictor published through the default npz layout;
+* layout — the store accepts only the ``npy`` layout and manifests the
+  header plus one file per array;
 * integrity — the per-array content digest still catches a tampered
-  factor even when the manifest checksums were rewritten to match;
-* zero-copy — tracemalloc proves a reload of an n=5000 factored
-  artifact allocates less than 5% of the factor bytes (the residual
-  graph-side conversions are all that remains).
+  array even when the manifest checksums were rewritten to match;
+* zero-copy — loaded arrays are views of file maps, and tracemalloc
+  proves a reload of an n=5000 factored artifact allocates less than 5%
+  of the factor bytes (the residual graph-side conversions are all that
+  remains).
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from repro.exceptions import ArtifactCorruptError
 from repro.factored.estimate import FactoredEstimate
 from repro.models.persistence import (
     FrozenFactoredPredictor,
-    load_factored_layout,
-    save_factored_layout,
+    FrozenPredictor,
+    load_predictor,
+    save_predictor,
 )
 from repro.serving.artifacts import ArtifactStore
 from repro.serving.service import LinkPredictionService
@@ -64,36 +66,32 @@ def _is_memmap_view(array):
 
 
 class TestNpyLayoutParity:
-    def test_npy_and_npz_layouts_score_identically(self, tmp_path):
-        predictor = _factored_predictor()
-        adjacency = _adjacency(48, 100)
-        npz_store = ArtifactStore(str(tmp_path / "npz"), layout="npz")
-        npy_store = ArtifactStore(str(tmp_path / "npy"), layout="npy")
-        npz_store.publish(predictor, graph=adjacency)
-        npy_store.publish(predictor, graph=adjacency)
-        a = LinkPredictionService(npz_store, cache_size=4)
-        b = LinkPredictionService(npy_store, cache_size=4)
-        for user in range(0, 48, 7):
-            assert a.top_k(user, 5) == b.top_k(user, 5)
-
     def test_npy_manifest_declares_layout_and_verifies(self, tmp_path):
         store = ArtifactStore(str(tmp_path / "store"), layout="npy")
         store.publish(_factored_predictor())
         manifest = store.verify()
-        assert manifest["layout"] == "npy"
+        assert manifest["kind"] == "factored"
         assert "model.json" in manifest["files"]
-        assert any(name.endswith(".npy") for name in manifest["files"])
-
-    def test_npz_layout_remains_the_default(self, tmp_path):
-        store = ArtifactStore(str(tmp_path / "store"))
-        store.publish(_factored_predictor())
-        assert "model.npz" in store.verify()["files"]
+        assert set(manifest["files"]) - {"model.json"} == {
+            f"{name}.npy"
+            for name in (
+                "factor_u",
+                "factor_s",
+                "factor_vt",
+                "residual_data",
+                "residual_indices",
+                "residual_indptr",
+                "n_users",
+            )
+        }
 
     def test_unknown_layout_rejected(self, tmp_path):
         from repro.exceptions import SerializationError
 
         with pytest.raises(SerializationError, match="layout"):
             ArtifactStore(str(tmp_path / "store"), layout="tar")
+        with pytest.raises(SerializationError, match="layout"):
+            ArtifactStore(str(tmp_path / "store"), layout="npz")
 
 
 class TestNpyIntegrity:
@@ -137,8 +135,8 @@ class TestNpyIntegrity:
 
 class TestZeroCopyReload:
     def test_mmap_load_views_are_not_copies(self, tmp_path):
-        save_factored_layout(_factored_predictor(), str(tmp_path))
-        loaded = load_factored_layout(str(tmp_path), mmap_mode="r")
+        save_predictor(_factored_predictor(), str(tmp_path))
+        loaded = load_predictor(str(tmp_path))
         estimate = loaded.estimate
         for array in (estimate.u, estimate.s, estimate.vt):
             # FactoredEstimate re-wraps with np.asarray/ravel, which
@@ -148,12 +146,15 @@ class TestZeroCopyReload:
             assert not array.flags["OWNDATA"]
             assert _is_memmap_view(array)
 
-    def test_mmap_opt_out_yields_writable_arrays(self, tmp_path):
-        save_factored_layout(_factored_predictor(), str(tmp_path))
-        loaded = load_factored_layout(str(tmp_path), mmap_mode=None)
-        estimate = loaded.estimate
-        assert not _is_memmap_view(estimate.u)
-        estimate.u[0, 0] = 42.0  # writable: no mmap page protection
+    def test_dense_matrix_is_a_plain_view_of_its_map(self, tmp_path):
+        matrix = np.arange(16.0).reshape(4, 4)
+        save_predictor(FrozenPredictor(matrix), str(tmp_path))
+        loaded = load_predictor(str(tmp_path)).score_matrix
+        # A plain ndarray (cheap scalar reads), backed by the file map.
+        assert type(loaded) is np.ndarray
+        assert _is_memmap_view(loaded)
+        assert not loaded.flags["WRITEABLE"]
+        assert np.array_equal(loaded, matrix)
 
     def test_reload_allocates_under_five_percent_of_factor_bytes(
         self, tmp_path

@@ -11,7 +11,6 @@ from repro.factored.estimate import FactoredEstimate
 from repro.models.persistence import FrozenFactoredPredictor, FrozenPredictor
 from repro.serving.artifacts import ArtifactStore
 from repro.serving.service import LinkPredictionService
-from repro.sharding.artifacts import ShardedArtifactStore
 from repro.sharding.partition import ShardPlan
 
 
@@ -126,7 +125,7 @@ class TestBatchTopK:
 def test_factored_batch_equals_per_user_answers(tmp_path, adjacency, rng):
     """Batched factored scoring rounds like the single-row product."""
     n = adjacency.shape[0]
-    store = ArtifactStore(str(tmp_path / "factored"), layout="npy")
+    store = ArtifactStore(str(tmp_path / "factored"))
     store.publish(
         FrozenFactoredPredictor(_factors(rng, n, rank=7), {"name": "f"}),
         graph=adjacency,
@@ -155,7 +154,7 @@ class TestReload:
         baseline = service.top_k(0, k=3)
         n = service.n_users
         version = store.publish(FrozenPredictor(np.eye(n)))
-        model_path = os.path.join(store.path(version), "model.npz")
+        model_path = os.path.join(store.path(version), "score_matrix.npy")
         open(model_path, "wb").write(b"corrupted")
         assert service.reload() is False
         assert service.version == 1
@@ -167,7 +166,7 @@ class TestReload:
     def test_recovers_after_good_publish(self, service, store, predictor):
         n = service.n_users
         bad = store.publish(FrozenPredictor(np.eye(n)))
-        open(os.path.join(store.path(bad), "model.npz"), "wb").write(b"x")
+        open(os.path.join(store.path(bad), "score_matrix.npy"), "wb").write(b"x")
         service.reload()
         store.publish(predictor)
         assert service.reload() is True
@@ -202,7 +201,7 @@ def _factors(rng, n, rank=3):
 
 
 class _ShardedStub:
-    """The fitted-model surface ``ShardedArtifactStore.publish`` reads."""
+    """The fitted sharded-model surface ``ArtifactStore.publish`` reads."""
 
     name = "lifecycle-sharded"
 
@@ -219,19 +218,21 @@ class _ShardedStub:
 
 
 def _publisher(kind, root, adjacency, rng):
-    """A store of ``kind`` and a callable publishing a fresh model to it."""
+    """A store and a callable publishing a fresh model of ``kind`` to it.
+
+    The kind ids keep their earlier names (``dense-npz``) so results stay
+    comparable across runs; every kind now shares the one npy layout.
+    """
     n = adjacency.shape[0]
     if kind == "dense-npz":
-        store = ArtifactStore(root)
         model = lambda: FrozenPredictor(rng.random((n, n)), {"name": kind})
     elif kind == "factored-npy":
-        store = ArtifactStore(root, layout="npy")
         model = lambda: FrozenFactoredPredictor(
             _factors(rng, n), {"name": kind}
         )
     else:
-        store = ShardedArtifactStore(root)
         model = lambda: _ShardedStub(rng, n)
+    store = ArtifactStore(root)
     return store, lambda: store.publish(model(), graph=adjacency)
 
 

@@ -10,7 +10,7 @@ from scipy import sparse
 
 from repro.exceptions import SerializationError
 from repro.reliability.faults import GLOBAL_INJECTOR
-from repro.sharding.artifacts import ShardedArtifactStore
+from repro.serving.artifacts import ArtifactStore, file_sha256
 from repro.sharding.model import ShardedSlamPred
 
 
@@ -39,9 +39,13 @@ def fitted():
 @pytest.fixture()
 def store(fitted, tmp_path):
     model, adjacency = fitted
-    store = ShardedArtifactStore(str(tmp_path / "store"))
+    store = ArtifactStore(str(tmp_path / "store"))
     store.publish(model, graph=adjacency, meta={"note": "test"})
     return store
+
+
+def _shard_file(store, shard, name="factor_u.npy"):
+    return os.path.join(store.path(1), f"shard-{shard:03d}", name)
 
 
 def _corrupt(path):
@@ -69,7 +73,14 @@ class TestPublishLoad:
     def test_manifest_lists_hashed_files(self, store):
         manifest = store.manifest()
         files = manifest["files"]
-        assert set(files) >= {"plan.npz", "shard-000.npz", "shard-001.npz"}
+        assert set(files) >= {
+            "plan_shard_of.npy",
+            "plan_scales.npy",
+            "shard-000/model.json",
+            "shard-000/factor_u.npy",
+            "shard-001/model.json",
+            "graph_indptr.npy",
+        }
         assert all(len(entry["sha256"]) == 64 for entry in files.values())
         assert manifest["kind"] == "sharded"
 
@@ -90,25 +101,54 @@ class TestIntegrity:
         store.verify()
 
     def test_corrupt_shard_fails_verify(self, store):
-        _corrupt(os.path.join(store.path(1), "shard-000.npz"))
+        _corrupt(_shard_file(store, 0))
         with pytest.raises(SerializationError):
             store.verify()
 
     def test_corrupt_shard_degrades_lenient_load(self, store):
-        _corrupt(os.path.join(store.path(1), "shard-000.npz"))
+        _corrupt(_shard_file(store, 0))
         loaded = store.load()
         assert loaded.degraded
         assert loaded.missing_shards == [0]
         assert sorted(loaded.estimates) == [1]
 
     def test_corrupt_plan_is_always_fatal(self, store):
-        _corrupt(os.path.join(store.path(1), "plan.npz"))
+        _corrupt(os.path.join(store.path(1), "plan_shard_of.npy"))
         with pytest.raises(SerializationError):
             store.load()
 
+    def test_missing_shard_file_degrades_lenient_load(self, store):
+        os.remove(_shard_file(store, 1, "model.json"))
+        loaded = store.load()
+        assert loaded.missing_shards == [1]
+        assert sorted(loaded.estimates) == [0]
+
+    def test_corrupt_graph_is_always_fatal(self, store):
+        _corrupt(os.path.join(store.path(1), "graph_indices.npy"))
+        with pytest.raises(SerializationError):
+            store.load()
+
+    def test_tampered_shard_caught_behind_rewritten_checksums(self, store):
+        # The manifest checksum is rewritten to match the tampered file,
+        # so only the shard predictor's content digest can catch it.
+        import json
+
+        path = _shard_file(store, 0, "factor_vt.npy")
+        factor = np.load(path)
+        factor.ravel()[0] += 0.5
+        np.save(path, factor)
+        manifest_path = os.path.join(store.path(1), "manifest.json")
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        manifest["files"]["shard-000/factor_vt.npy"]["sha256"] = file_sha256(path)
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        store.verify()
+        assert store.load().missing_shards == [0]
+
     def test_all_shards_corrupt_fails_even_lenient(self, store):
-        _corrupt(os.path.join(store.path(1), "shard-000.npz"))
-        _corrupt(os.path.join(store.path(1), "shard-001.npz"))
+        _corrupt(_shard_file(store, 0))
+        _corrupt(_shard_file(store, 1))
         with pytest.raises(SerializationError):
             store.load()
 

@@ -1,7 +1,7 @@
 """Scatter-gather serving: merge determinism, exclusion, degradation.
 
 A sharded artifact is served by the one serving service,
-``LinkPredictionService(ShardedArtifactStore(...))``.
+``LinkPredictionService(ArtifactStore(...))`` over a sharded version.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import pytest
 from scipy import sparse
 
 from repro.factored.estimate import FactoredEstimate
+from repro.serving.artifacts import ArtifactStore
 from repro.serving.batcher import MicroBatcher
 from repro.serving.service import LinkPredictionService
-from repro.sharding.artifacts import ShardedArtifactStore
 from repro.sharding.partition import ShardPlan
 
 N_USERS = 8
@@ -52,7 +52,7 @@ def _publish(tmp_path, graph=None, values=(1.0, 1.0), scales=(1.0, 1.0)):
     estimates = [
         _flat_estimate(plan.members[s].size, values[s]) for s in range(2)
     ]
-    store = ShardedArtifactStore(str(tmp_path / "store"))
+    store = ArtifactStore(str(tmp_path / "store"))
     store.publish(_StubModel(plan, estimates, scales), graph=graph)
     return store
 
@@ -118,7 +118,7 @@ class TestKnownLinkExclusion:
 
 class TestDegradation:
     def _corrupt_shard(self, store, shard):
-        path = os.path.join(store.path(1), f"shard-{shard:03d}.npz")
+        path = os.path.join(store.path(1), f"shard-{shard:03d}", "factor_u.npy")
         with open(path, "r+b") as handle:
             handle.seek(12)
             handle.write(b"\xde\xad\xbe\xef")

@@ -82,6 +82,21 @@ def test_checker_catches_violations(tmp_path):
     qr = [v for v in violations if "np.linalg.qr" in v]
     assert len(qr) == 1
     assert ":24:" in qr[0]
+    # Inside a repro/models/ directory, so the one-artifact-format rule
+    # applies: np.save is the format, np.savez_compressed a second one.
+    models = tmp_path / "repro" / "models"
+    models.mkdir(parents=True)
+    store = models / "store.py"
+    store.write_text(
+        "np.save(path, scores)\n"
+        "np.savez_compressed(path, scores=scores)\n"
+    )
+    npz = check_style.check_file(str(store))
+    assert len(npz) == 1
+    assert "np.savez" in npz[0] and ":2:" in npz[0]
     outside = tmp_path / "elsewhere.py"
-    outside.write_text("q, r = np.linalg.qr(block)\n")
+    outside.write_text(
+        "q, r = np.linalg.qr(block)\n"
+        "np.savez(path, scores=scores)\n"
+    )
     assert check_style.check_file(str(outside)) == []

@@ -153,7 +153,7 @@ def main() -> int:
                 FrozenPredictor((scores + scores.T) / 2, {"name": "bad"})
             )
             with open(
-                os.path.join(store.path(version), "model.npz"), "wb"
+                os.path.join(store.path(version), "score_matrix.npy"), "wb"
             ) as handle:
                 handle.write(b"corrupted beyond repair")
             served_version = service.version

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Observability and reliability style gate for ``src/repro``.
 
-Six rules, all born from real production bugs or measured slowdowns:
+Seven rules, all born from real production bugs or measured slowdowns:
 
 1. **No ``time.time()`` duration arithmetic.**  Wall-clock time jumps
    (NTP slew, suspend/resume) corrupt latency and uptime numbers; all
@@ -49,6 +49,16 @@ Six rules, all born from real production bugs or measured slowdowns:
    ``repro/factored`` quietly brings the slow kernel back.  A deliberate
    site (the kernel's own Householder fallback) opts out with a
    ``# qr-ok`` comment on the same line.
+
+7. **One artifact format.**  Every published version is a manifest plus
+   uncompressed, memory-mappable ``.npy`` arrays; the four formats the
+   store once read (three ``.npz`` archives and the ``.npy`` layout)
+   cost a compressed write on every dense publish and a second store
+   for sharded models.  ``np.savez`` and ``np.savez_compressed`` in
+   ``repro/serving``, ``repro/sharding`` or ``repro/models`` would bring
+   a second format back, so they are flagged with no opt-out.
+   Checkpoints and stream state live outside these packages and keep
+   their ``.npz``.
 
 Run from the repo root::
 
@@ -98,6 +108,13 @@ QR_SCOPE = tuple(
 )
 _HOUSEHOLDER_QR = re.compile(r"\bnp\.linalg\.qr\(")
 
+# The packages that write published artifacts.
+ARTIFACT_SCOPE = tuple(
+    os.path.join("repro", package) + os.sep
+    for package in ("serving", "sharding", "models")
+)
+_NPZ_WRITE = re.compile(r"\bnp\.savez(?:_compressed)?\(")
+
 
 def _relative(path: str) -> str:
     return os.path.relpath(path, REPO_ROOT)
@@ -107,14 +124,15 @@ def _print_allowed(relpath: str) -> bool:
     return any(relpath.startswith(prefix) for prefix in PRINT_ALLOWLIST)
 
 
-def _qr_scoped(path: str) -> bool:
-    return any(package in path for package in QR_SCOPE)
+def _scoped(path: str, scope) -> bool:
+    return any(package in path for package in scope)
 
 
 def check_file(path: str) -> list:
     """All style violations in one file, as ``file:line: message`` strings."""
     relpath = _relative(path)
-    qr_scoped = _qr_scoped(os.path.abspath(path))
+    qr_scoped = _scoped(os.path.abspath(path), QR_SCOPE)
+    artifact_scoped = _scoped(os.path.abspath(path), ARTIFACT_SCOPE)
     violations = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -157,6 +175,12 @@ def check_file(path: str) -> list:
                     f"{relpath}:{lineno}: np.linalg.qr in the solver hot "
                     "path — use repro.perf.warm_svt._tall_qr (CholeskyQR2), "
                     f"or mark a deliberate Householder site with '{QR_OK_MARKER}'"
+                )
+            if artifact_scoped and _NPZ_WRITE.search(line):
+                violations.append(
+                    f"{relpath}:{lineno}: np.savez in artifact code — a "
+                    "version is a manifest plus one np.save'd .npy per "
+                    "array (repro.models.persistence.save_predictor)"
                 )
     return violations
 
