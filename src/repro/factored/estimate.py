@@ -230,15 +230,27 @@ class FactoredEstimate:
             ).ravel()
         return values
 
-    def lowrank_entries(self, rows, cols) -> np.ndarray:
-        """Entries of the low-rank part only, ``(u_r * s) · vt_c``."""
+    def lowrank_entries(self, rows, cols, out=None) -> np.ndarray:
+        """Entries of the low-rank part only, ``(u_r * s) · vt_c``.
+
+        O(m·k) work for m entries.  Fewer entries than rows (a served
+        score) gather, then scale, only the rows asked for.  More (the
+        solver's residual support) scale ``u`` once and gather whole rows
+        of a contiguous ``vtᵀ`` with ``np.take``, which beats the column
+        gather from the row-major ``vt`` once m reaches n.  Both hand
+        ``einsum`` C-ordered (m, k) operands holding the same products,
+        so the two give the same bits.  ``out``, when given, receives the
+        result; at rank 0 every entry is 0.
+        """
         rows = np.asarray(rows, dtype=int)
         cols = np.asarray(cols, dtype=int)
-        if self.rank == 0:
-            return np.zeros(rows.shape, dtype=float)
-        return np.einsum(
-            "ik,ik->i", self.u[rows] * self.s, self.vt[:, cols].T
-        )
+        if rows.size < self.u.shape[0]:
+            left = self.u[rows] * self.s
+            right = np.ascontiguousarray(self.vt[:, cols].T)
+        else:
+            left = np.take(self.u * self.s, rows, axis=0)
+            right = np.take(np.ascontiguousarray(self.vt.T), cols, axis=0)
+        return np.einsum("ik,ik->i", left, right, out=out)
 
     def to_dense(self) -> np.ndarray:
         """Materialize the dense matrix — parity oracle / small-n only."""

@@ -155,23 +155,12 @@ class FactoredWorkspace:
     def lowrank_entries(self, estimate) -> np.ndarray:
         """The low-rank part's values over Ω, written into ``values``.
 
-        O(nnz·k) work; the gather temporaries are transient, the result
-        buffer is reused across iterations — a caller that still needs
-        these values after the next call must copy them out.  Both sides
-        are gathered as whole rows with ``np.take`` (of ``u·diag(s)`` and
-        of a contiguous ``vtᵀ``), which fancy indexing and a column
-        gather from the row-major ``vt`` do more slowly.
+        O(nnz·k) work through :meth:`FactoredEstimate.lowrank_entries`;
+        the gather temporaries are transient, the result buffer is reused
+        across iterations — a caller that still needs these values after
+        the next call must copy them out.
         """
-        if estimate.rank == 0:
-            self.values.fill(0.0)
-            return self.values
-        np.einsum(
-            "ik,ik->i",
-            np.take(estimate.u * estimate.s, self.rows, axis=0),
-            np.take(np.ascontiguousarray(estimate.vt.T), self.indices, axis=0),
-            out=self.values,
-        )
-        return self.values
+        return estimate.lowrank_entries(self.rows, self.indices, out=self.values)
 
     def residual_values(self, residual) -> np.ndarray:
         """A sparse matrix's entries on Ω as a new vector (0 where unstored).

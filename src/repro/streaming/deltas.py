@@ -29,7 +29,7 @@ import tempfile
 import zipfile
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -127,6 +127,16 @@ def attribute_set(user: int, attribute: int, value: float) -> Delta:
 class StreamState:
     """The deterministic fold of acknowledged deltas: links + attributes.
 
+    The link dict is the source of truth for :meth:`apply` and
+    :meth:`link_weight`.  :meth:`to_csr`, :meth:`digest` and :meth:`save`
+    all read one canonical view of it instead: the sorted int64 link
+    codes ``u * n_users + v`` (``u < v``), their weights and each link's
+    digest segment ``b"L{u},{v}={w!r};"``.  :meth:`apply` only records
+    which codes it touched; the next read drops those codes from the
+    view and inserts the ones still live, so a version costs
+    O(deltas · log links) plus O(links) of array copies, with no
+    per-link Python work.
+
     Parameters
     ----------
     n_users:
@@ -153,6 +163,10 @@ class StreamState:
         self._links: Dict[Tuple[int, int], float] = {}
         self._attributes: Dict[Tuple[int, int], float] = {}
         self.applied_seq = 0
+        self._codes = np.empty(0, dtype=np.int64)
+        self._weights = np.empty(0, dtype=float)
+        self._segments = np.empty(0, dtype=object)
+        self._touched: Set[int] = set()
         self._invalidate()
 
     def _invalidate(self) -> None:
@@ -189,6 +203,7 @@ class StreamState:
                 self._links[key] = delta.value
             else:
                 self._links.pop(key, None)
+            self._touched.add(key[0] * self.n_users + key[1])
         self.applied_seq = seq
         self._invalidate()
         return True
@@ -216,6 +231,42 @@ class StreamState:
         """Current value of one user attribute (0.0 when never written)."""
         return self._attributes.get((int(user), int(attribute)), 0.0)
 
+    def _link_view(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sorted link codes, their weights and digest segments, up to date.
+
+        Folds the codes touched since the last read into the view: drop
+        them all, then insert the ones the dict still holds at their
+        sorted positions.
+        """
+        if self._touched:
+            touched = np.fromiter(
+                sorted(self._touched), dtype=np.int64, count=len(self._touched)
+            )
+            self._touched.clear()
+            keep = ~np.isin(self._codes, touched, assume_unique=True)
+            live_codes, live_weights, live_segments = [], [], []
+            for code in touched.tolist():
+                u, v = divmod(code, self.n_users)
+                weight = self._links.get((u, v))
+                if weight is not None:
+                    live_codes.append(code)
+                    live_weights.append(weight)
+                    live_segments.append(f"L{u},{v}={weight!r};".encode())
+            codes = self._codes[keep]
+            positions = np.searchsorted(codes, live_codes)
+            self._codes = np.insert(codes, positions, live_codes)
+            self._weights = np.insert(self._weights[keep], positions, live_weights)
+            self._segments = np.insert(
+                self._segments[keep], positions, live_segments
+            )
+        return self._codes, self._weights, self._segments
+
+    def _link_pairs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and weights of the upper-triangle links, sorted."""
+        codes, weights, _ = self._link_view()
+        rows, cols = np.divmod(codes, self.n_users)
+        return rows, cols, weights
+
     def to_csr(self) -> sparse.csr_matrix:
         """The symmetric adjacency as a deterministic CSR matrix.
 
@@ -231,22 +282,14 @@ class StreamState:
         return self._csr
 
     def _build_csr(self) -> sparse.csr_matrix:
-        if not self._links:
-            return sparse.csr_matrix((self.n_users, self.n_users))
-        keys = sorted(self._links)
-        rows = np.fromiter((k[0] for k in keys), dtype=np.int64, count=len(keys))
-        cols = np.fromiter((k[1] for k in keys), dtype=np.int64, count=len(keys))
-        vals = np.fromiter(
-            (self._links[k] for k in keys), dtype=float, count=len(keys)
-        )
-        matrix = sparse.coo_matrix(
+        rows, cols, weights = self._link_pairs()
+        return sparse.coo_matrix(
             (
-                np.concatenate([vals, vals]),
+                np.concatenate([weights, weights]),
                 (np.concatenate([rows, cols]), np.concatenate([cols, rows])),
             ),
             shape=(self.n_users, self.n_users),
-        )
-        return matrix.tocsr()
+        ).tocsr()
 
     def attribute_matrix(self, n_attributes: Optional[int] = None) -> sparse.csr_matrix:
         """Users × attributes CSR of every written attribute value."""
@@ -272,11 +315,12 @@ class StreamState:
         return self._digest
 
     def _compute_digest(self) -> str:
+        _, _, segments = self._link_view()
         hasher = hashlib.sha256()
-        hasher.update(f"v{STATE_SCHEMA_VERSION}:{self.n_users}:".encode())
-        hasher.update(f"seq={self.applied_seq};".encode())
-        for (u, v), weight in sorted(self._links.items()):
-            hasher.update(f"L{u},{v}={weight!r};".encode())
+        hasher.update(
+            f"v{STATE_SCHEMA_VERSION}:{self.n_users}:seq={self.applied_seq};".encode()
+        )
+        hasher.update(b"".join(segments.tolist()))
         for (u, a), value in sorted(self._attributes.items()):
             hasher.update(f"A{u},{a}={value!r};".encode())
         return hasher.hexdigest()
@@ -288,8 +332,11 @@ class StreamState:
         The archive embeds the state digest; :meth:`load` refuses any file
         whose content does not hash back to it, so a torn snapshot write
         degrades to "replay more of the WAL", never to silent corruption.
+        The members are stored uncompressed: the links are written straight
+        from the canonical view, and a zlib pass over the whole state would
+        cost more every tick than the bytes it saves.
         """
-        links = sorted(self._links.items())
+        rows, cols, weights = self._link_pairs()
         attrs = sorted(self._attributes.items())
         payload = {
             "schema_version": STATE_SCHEMA_VERSION,
@@ -302,13 +349,11 @@ class StreamState:
         fd, staging = tempfile.mkstemp(dir=directory, suffix=".state-staging")
         try:
             with os.fdopen(fd, "wb") as handle:
-                np.savez_compressed(
+                np.savez(
                     handle,
                     meta=np.frombuffer(meta_json.encode("utf-8"), dtype=np.uint8),
-                    link_keys=np.asarray(
-                        [k for k, _ in links], dtype=np.int64
-                    ).reshape(-1, 2),
-                    link_values=np.asarray([w for _, w in links], dtype=float),
+                    link_keys=np.stack([rows, cols], axis=1),
+                    link_values=weights,
                     attr_keys=np.asarray(
                         [k for k, _ in attrs], dtype=np.int64
                     ).reshape(-1, 2),
@@ -328,10 +373,17 @@ class StreamState:
 
     @classmethod
     def load(cls, path: str) -> "StreamState":
-        """Load a snapshot, re-deriving and checking its embedded digest."""
+        """Load a snapshot, re-deriving and checking its embedded digest.
+
+        Reads compressed and uncompressed archives alike.  Link keys that
+        no :meth:`save` could have written are refused before the digest
+        is checked.
+        """
         try:
             with np.load(path) as data:
                 meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+                n_users = int(meta["n_users"])
+                applied_seq = int(meta["applied_seq"])
                 link_keys = np.asarray(data["link_keys"], dtype=np.int64)
                 link_values = np.asarray(data["link_values"], dtype=float)
                 attr_keys = np.asarray(data["attr_keys"], dtype=np.int64)
@@ -339,6 +391,7 @@ class StreamState:
                 stored = bytes(data["digest"]).decode("ascii")
         except (
             KeyError,
+            TypeError,
             ValueError,
             OSError,
             EOFError,
@@ -349,12 +402,15 @@ class StreamState:
             raise ArtifactCorruptError(
                 f"cannot read state snapshot {path}: {exc}"
             ) from exc
-        state = cls(int(meta["n_users"]))
-        for (u, v), weight in zip(link_keys, link_values):
-            state._links[(int(u), int(v))] = float(weight)
+        if n_users < 2:
+            raise ArtifactCorruptError(
+                f"state snapshot {path} names {n_users} users"
+            )
+        state = cls(n_users)
+        state._load_links(path, link_keys, link_values)
         for (u, a), value in zip(attr_keys, attr_values):
             state._attributes[(int(u), int(a))] = float(value)
-        state.applied_seq = int(meta["applied_seq"])
+        state.applied_seq = applied_seq
         actual = state.digest()
         if actual != stored:
             raise ArtifactCorruptError(
@@ -362,3 +418,24 @@ class StreamState:
                 f"sha256 {stored[:12]}… but content hashes to {actual[:12]}…"
             )
         return state
+
+    def _load_links(
+        self, path: str, link_keys: np.ndarray, link_values: np.ndarray
+    ) -> None:
+        """Fill the link dict from snapshot arrays; every code is touched,
+        so the first read builds the canonical view from them."""
+        if link_keys.shape != (link_values.size, 2) or link_values.ndim != 1:
+            raise ArtifactCorruptError(
+                f"state snapshot {path} has link arrays of shapes "
+                f"{link_keys.shape} and {link_values.shape}"
+            )
+        rows, cols = link_keys[:, 0], link_keys[:, 1]
+        if not np.all((rows >= 0) & (rows < cols) & (cols < self.n_users)):
+            raise ArtifactCorruptError(
+                f"state snapshot {path} holds link keys outside "
+                f"0 <= u < v < {self.n_users}"
+            )
+        self._links = dict(
+            zip(zip(rows.tolist(), cols.tolist()), link_values.tolist())
+        )
+        self._touched.update((rows * self.n_users + cols).tolist())

@@ -92,6 +92,22 @@ class TestReads:
         lowrank = (estimate.u * estimate.s) @ estimate.vt
         _close(estimate.lowrank_entries(rows, cols), lowrank[rows, cols])
 
+    @settings(max_examples=40)
+    @given(factored_estimates(), st.integers(0, 2**31 - 1))
+    def test_lowrank_entries_same_bits_for_few_and_many(self, estimate, seed):
+        # Fewer entries than rows and at least as many take different
+        # gathers; an entry must not change with the size of its batch.
+        rng = np.random.default_rng(seed)
+        n = estimate.n_users
+        rows = rng.integers(0, n, size=2 * n)
+        cols = rng.integers(0, n, size=2 * n)
+        many = estimate.lowrank_entries(rows, cols)
+        few = estimate.lowrank_entries(rows[: n - 1], cols[: n - 1])
+        assert np.array_equal(few, many[: n - 1])
+        out = np.full(2 * n, np.nan)
+        assert estimate.lowrank_entries(rows, cols, out=out) is out
+        assert np.array_equal(out, many)
+
 
 class TestAlgebra:
     @settings(max_examples=40)

@@ -11,6 +11,7 @@ from repro.streaming.deltas import (
     link_add,
     link_remove,
 )
+from tests.streaming.state_oracle import csr_identical
 
 
 class TestDelta:
@@ -113,15 +114,6 @@ class TestStreamState:
             StreamState.load(path)
 
 
-def _csr_equal(a, b):
-    return (
-        a.shape == b.shape
-        and np.array_equal(a.indptr, b.indptr)
-        and np.array_equal(a.indices, b.indices)
-        and np.array_equal(a.data, b.data)
-    )
-
-
 class TestCachedViews:
     """``to_csr`` and ``digest`` are built once per state version."""
 
@@ -129,7 +121,7 @@ class TestCachedViews:
         fresh = StreamState(state.n_users)
         fresh.apply_many(records)
         assert state.digest() == fresh.digest()
-        assert _csr_equal(state.to_csr(), fresh.to_csr())
+        assert csr_identical(state.to_csr(), fresh.to_csr())
 
     def test_every_mutation_refreshes_the_cache(self, tmp_path):
         mutations = [
