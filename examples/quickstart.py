@@ -57,9 +57,11 @@ def main() -> None:
     )
     tracer = Tracer()
     model = SlamPred(tracer=tracer).fit(task)
-    print(f"CCCP: {model.result.n_rounds} rounds, "
-          f"{model.result.history.n_iterations} proximal iterations, "
-          f"converged={model.result.converged}")
+    result = model.result
+    print(f"CCCP: {result.n_rounds} rounds, "
+          f"{result.history.n_iterations} proximal iterations, "
+          f"stop_reason={result.stop_reason} "
+          f"certificate={result.certificate:.3g}")
 
     # 4. Score the hidden links against sampled non-links.
     scores = model.score_pairs(split.test_pairs)

@@ -29,7 +29,12 @@ import numpy as np
 from repro.exceptions import OptimizationError
 from repro.factored.estimate import FactoredEstimate
 from repro.observability.tracer import NULL_TRACER, Tracer
-from repro.optim.convergence import ConvergenceCriterion, IterationHistory
+from repro.optim.convergence import (
+    STOP_CONVERGED,
+    STOP_ITERATION_CAP,
+    ConvergenceCriterion,
+    IterationHistory,
+)
 from repro.optim.forward_backward import FactoredForwardBackwardSolver
 from repro.optim.losses import FactoredSmoothObjective
 
@@ -49,15 +54,25 @@ class FactoredResult:
         ``‖S‖_F`` at the end of each outer round.
     n_rounds:
         Number of outer rounds executed.
-    converged:
-        Whether the outer loop hit its tolerance before ``max_iterations``.
+    stop_reason:
+        ``"converged"`` when the outer loop hit its tolerance,
+        ``"iteration_cap"`` when it ran out of rounds first.
+    certificate:
+        The outer criterion's certificate at the last round, read on the
+        Frobenius update surrogate ``‖S_r − S_{r−1}‖_F``.
     """
 
     estimate: FactoredEstimate
     history: IterationHistory
     round_norms: Sequence[float]
     n_rounds: int
-    converged: bool
+    stop_reason: str = STOP_ITERATION_CAP
+    certificate: Optional[float] = None
+
+    @property
+    def converged(self) -> bool:
+        """Whether the outer loop hit its tolerance before its cap."""
+        return self.stop_reason == STOP_CONVERGED
 
 
 class FactoredSolver:
@@ -130,6 +145,7 @@ class FactoredSolver:
         history = IterationHistory()
         round_norms: list = []
         converged = False
+        certificate = None
         n_rounds = 0
         tracer = NULL_TRACER if tracer is None else tracer
         for _ in range(self.outer_criterion.max_iterations):
@@ -149,8 +165,12 @@ class FactoredSolver:
                 record.round = n_rounds
                 tracer.record_iteration(record)
             round_norms.append(float(np.sqrt(current.frobenius_sq())))
+            update_norm = current.delta_frobenius(previous)
+            certificate = self.outer_criterion.certificate(
+                update_norm, round_norms[-1]
+            )
             if self.outer_criterion.satisfied_value(
-                current.delta_frobenius(previous)
+                update_norm, round_norms[-1]
             ):
                 converged = True
                 break
@@ -159,7 +179,8 @@ class FactoredSolver:
             history=history,
             round_norms=round_norms,
             n_rounds=n_rounds,
-            converged=converged,
+            stop_reason=STOP_CONVERGED if converged else STOP_ITERATION_CAP,
+            certificate=certificate,
         )
 
     def __repr__(self) -> str:

@@ -75,6 +75,11 @@ from repro.utils.validation import (
 _FACTORED_GRADIENT_RANK = 128
 _FACTORED_GRADIENT_RESIDUAL_MULTIPLE = 8
 
+# The seed step, kept by the bit-exact and the factored paths.  The dense
+# hot path steps at 0.9/L of its loss instead (DESIGN.md §12).
+_SEED_STEP_SIZE = 0.05
+_HOT_STEP_FRACTION = 0.9
+
 
 class SlamPred(MatrixPredictor):
     """The full SLAMPRED model.
@@ -146,15 +151,23 @@ class SlamPred(MatrixPredictor):
     latent_dimension:
         Shared latent feature dimension ``c``.
     step_size:
-        Proximal gradient learning rate θ (paper: 0.001; the default here is
-        larger because the surrogate loss is well conditioned and the
-        evaluation sweeps many fits — see DESIGN.md).
+        Proximal gradient learning rate θ (paper: 0.001).  ``None`` (the
+        default) takes the path's step: ``0.9 / L`` of the loss on the
+        dense hot path (0.45 for the squared Frobenius loss, L = 2), and
+        the seed's 0.05 on the ``exact`` and ``factored`` paths.  The
+        surrogate loss is well conditioned, so a step near ``1/L`` ends the
+        solve in a handful of iterations (DESIGN.md §12).
     inner_iterations:
         Proximal steps per CCCP round.
     outer_iterations:
         Maximum CCCP rounds.
     tolerance:
-        ℓ1 convergence tolerance on both loops.
+        Convergence tolerance on both loops.  On the dense hot path it
+        bounds the relative certificate ``‖S_t − S_{t−1}‖₁ / ‖S_t‖₁``, the
+        fixed-point residual of the prox-gradient map; the ``exact`` path
+        keeps the seed's absolute ℓ1 update norm and the ``factored`` path
+        its absolute Frobenius update surrogate.  :attr:`result` records
+        the stop reason and the final certificate.
     instances_per_network:
         Link-instance sample size for fitting the adaptation; ``None``
         scales with the target size (see
@@ -192,7 +205,7 @@ class SlamPred(MatrixPredictor):
         intimacy_scale: float = 4.0,
         svd_rank: Optional[int] = None,
         latent_dimension: int = 5,
-        step_size: float = 0.05,
+        step_size: Optional[float] = None,
         inner_iterations: int = 25,
         outer_iterations: int = 40,
         tolerance: float = 1e-3,
@@ -231,7 +244,9 @@ class SlamPred(MatrixPredictor):
         self.latent_dimension = check_integer(
             latent_dimension, "latent_dimension", minimum=1
         )
-        self.step_size = check_positive(step_size, "step_size")
+        self.step_size = (
+            None if step_size is None else check_positive(step_size, "step_size")
+        )
         self.inner_iterations = check_integer(
             inner_iterations, "inner_iterations", minimum=1
         )
@@ -281,6 +296,7 @@ class SlamPred(MatrixPredictor):
         self._adapter: Optional[DomainAdapter] = None
         self._checkpoint_manager = None
         self._svt_engine: Optional[WarmStartSVT] = None
+        self._fit_step_size: Optional[float] = None
 
     def _default_name(self) -> str:
         if self.use_sources:
@@ -298,7 +314,8 @@ class SlamPred(MatrixPredictor):
         A :class:`~repro.optim.cccp.CCCPResult` on the dense path, a
         :class:`~repro.factored.solver.FactoredResult` when the model was
         constructed with ``factored=True``; both carry ``history``,
-        ``round_norms``, ``n_rounds`` and ``converged``.
+        ``round_norms``, ``n_rounds``, ``converged``, ``stop_reason`` and
+        the final ``certificate``.
         """
         if self._result is None:
             raise NotFittedError(f"{self.name} has not been fitted")
@@ -352,11 +369,13 @@ class SlamPred(MatrixPredictor):
             "model": self.name,
             "gamma": self.gamma,
             "tau": self.tau,
-            "step_size": self.step_size,
+            "step_size": self._fit_step_size,
             "svd_rank": self.svd_rank,
             "n_users": n_users,
             "n_rounds": self._result.n_rounds,
             "converged": self._result.converged,
+            "stop_reason": self._result.stop_reason,
+            "certificate": self._result.certificate,
         }
         merged_meta.update(meta or {})
         return build_run_report(
@@ -435,6 +454,14 @@ class SlamPred(MatrixPredictor):
                 f"invalid svt_options for WarmStartSVT: {exc}"
             ) from exc
 
+    def _step_for(self, loss) -> float:
+        """The step of this fit: the configured one, else the path's."""
+        if self.step_size is not None:
+            return self.step_size
+        if self.exact or self.factored:
+            return _SEED_STEP_SIZE
+        return _HOT_STEP_FRACTION / loss.lipschitz
+
     def _fit(self, task: TransferTask) -> None:
         tracer = self._tracer
         adjacency = task.training_graph.adjacency
@@ -462,10 +489,16 @@ class SlamPred(MatrixPredictor):
             L1Prox(self.gamma),
             BoxProjection(0.0, None),
         ]
+        # The hot path stops on the relative certificate; the exact path
+        # keeps the seed's absolute rule, which the Figure 3 golden pins.
+        relative = not self.exact
+        self._fit_step_size = self._step_for(loss)
         inner = ForwardBackwardSolver(
-            step_size=self.step_size,
+            step_size=self._fit_step_size,
             criterion=ConvergenceCriterion(
-                tolerance=self.tolerance, max_iterations=self.inner_iterations
+                tolerance=self.tolerance,
+                max_iterations=self.inner_iterations,
+                relative=relative,
             ),
         )
         solver = CCCPSolver(
@@ -474,7 +507,9 @@ class SlamPred(MatrixPredictor):
             intimacy_gradient=gradient,
             inner_solver=inner,
             outer_criterion=ConvergenceCriterion(
-                tolerance=self.tolerance, max_iterations=self.outer_iterations
+                tolerance=self.tolerance,
+                max_iterations=self.outer_iterations,
+                relative=relative,
             ),
             fuse_smooth=not self.exact,
         )
@@ -566,8 +601,9 @@ class SlamPred(MatrixPredictor):
             L1Prox(self.gamma),
             BoxProjection(0.0, None),
         ]
+        self._fit_step_size = self._step_for(None)
         inner = FactoredForwardBackwardSolver(
-            step_size=self.step_size,
+            step_size=self._fit_step_size,
             criterion=ConvergenceCriterion(
                 tolerance=self.tolerance, max_iterations=self.inner_iterations
             ),

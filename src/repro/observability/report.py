@@ -104,6 +104,14 @@ class RunReport:
     def summary(self) -> str:
         """A terminal-friendly digest: phases, counters, iteration stats."""
         lines = [f"run report — {self.name} (schema v{self.schema_version})"]
+        if "stop_reason" in self.meta:
+            lines.append(
+                describe_stop(
+                    self.meta["stop_reason"],
+                    self.meta.get("certificate"),
+                    self.counters.get("svt.lossy_truncations", 0),
+                )
+            )
         if self.phase_totals:
             lines.append("")
             lines.append(f"{'phase':<28} {'calls':>7} {'seconds':>10}")
@@ -133,6 +141,26 @@ class RunReport:
             for name in sorted(self.counters):
                 lines.append(f"{name}: {self.counters[name]}")
         return "\n".join(lines)
+
+
+def describe_stop(
+    stop_reason: str,
+    certificate: Optional[float],
+    lossy_truncations: int = 0,
+) -> str:
+    """One line saying why a solve stopped and on what certificate.
+
+    A solve that ran into its iteration cap while the rank-capped SVT
+    dropped part of the spectrum says so: such iterates settle on the
+    cap's noise floor rather than a fixed point.
+    """
+    shown = "n/a" if certificate is None else f"{certificate:.3g}"
+    line = f"stop_reason={stop_reason} certificate={shown}"
+    if stop_reason == "iteration_cap" and lossy_truncations > 0:
+        line += (
+            f" (rank-capped SVT lossy on {int(lossy_truncations)} applies)"
+        )
+    return line
 
 
 def build_run_report(

@@ -27,13 +27,19 @@ import numpy as np
 
 from repro.exceptions import OptimizationError
 from repro.observability.tracer import NULL_TRACER, Tracer, is_tracing
-from repro.optim.convergence import ConvergenceCriterion, IterationHistory
+from repro.optim.convergence import (
+    STOP_CONVERGED,
+    STOP_ITERATION_CAP,
+    ConvergenceCriterion,
+    IterationHistory,
+)
 from repro.optim.forward_backward import ForwardBackwardSolver, _term_labels
 from repro.optim.losses import (
     FusedSmoothObjective,
     LinearizedIntimacyTerm,
     SquaredFrobeniusLoss,
 )
+from repro.perf.workspace import Workspace
 from repro.utils.matrices import is_square
 
 
@@ -84,18 +90,30 @@ class CCCPResult:
         ``‖S‖₁`` at the end of each CCCP round.
     n_rounds:
         Number of outer rounds executed.
-    converged:
-        Whether the outer loop hit its tolerance before ``max_iterations``.
+    stop_reason:
+        ``"converged"`` when the outer loop hit its tolerance,
+        ``"iteration_cap"`` when it ran out of rounds first.
+    certificate:
+        The outer criterion's certificate at the last round: the relative
+        ``‖S_r − S_{r−1}‖₁ / ‖S_r‖₁`` under a relative criterion, the
+        absolute ``‖S_r − S_{r−1}‖₁`` otherwise (``None`` when no round
+        ran).
     """
 
     solution: np.ndarray
     history: IterationHistory
     round_norms: Sequence[float]
     n_rounds: int
-    converged: bool
     resumed_from: Optional[int] = None
     """Round index of the checkpoint this run resumed from (``None`` for a
     fresh run)."""
+    stop_reason: str = STOP_ITERATION_CAP
+    certificate: Optional[float] = None
+
+    @property
+    def converged(self) -> bool:
+        """Whether the outer loop hit its tolerance before its cap."""
+        return self.stop_reason == STOP_CONVERGED
 
 
 class CCCPSolver:
@@ -181,6 +199,8 @@ class CCCPSolver:
         resumed_from = None
         resumed_norms: list = []
         start_round = 0
+        converged = False
+        certificate = None
         if checkpoint is not None:
             saved = checkpoint.latest()
             if saved is not None:
@@ -193,6 +213,10 @@ class CCCPSolver:
                 current = saved.solution.copy()
                 resumed_norms = list(saved.round_norms)
                 start_round = resumed_from = saved.round_index
+                # A run whose checkpointed round converged had stopped
+                # there; resuming it runs no further round.
+                converged = bool(saved.meta.get("converged", False))
+                certificate = saved.meta.get("certificate")
                 tracer.count("cccp.resumes")
         if self.intimacy_gradient is not None and (
             self.intimacy_gradient.shape != current.shape
@@ -213,9 +237,10 @@ class CCCPSolver:
                 )
         history = IterationHistory()
         round_norms = resumed_norms
-        converged = False
+        ws = None
         n_rounds = start_round
-        for _ in range(self.outer_criterion.max_iterations - start_round):
+        remaining = self.outer_criterion.max_iterations - start_round
+        for _ in range(0 if converged else remaining):
             n_rounds += 1
             previous = current
             first_record = history.n_iterations
@@ -238,18 +263,35 @@ class CCCPSolver:
             for record in round_records:
                 record.round = n_rounds
                 tracer.record_iteration(record)
-            round_norms.append(float(np.abs(current).sum()))
+            # Both round norms go through the inner solver's scratch buffer
+            # (one workspace of its own for an inner solver without one).
+            ws = Workspace.ensure(
+                getattr(self.inner_solver, "workspace", None) or ws, current
+            )
+            round_norms.append(ws.l1_norm(current))
+            update_norm = ws.l1_update_norm(current, previous)
+            certificate = self.outer_criterion.certificate(
+                update_norm, round_norms[-1]
+            )
+            converged = self.outer_criterion.satisfied_value(
+                update_norm, round_norms[-1]
+            )
             if checkpoint is not None and checkpoint.should_save(n_rounds):
-                checkpoint.save(n_rounds, current, round_norms)
+                checkpoint.save(
+                    n_rounds,
+                    current,
+                    round_norms,
+                    meta={"converged": converged, "certificate": certificate},
+                )
                 tracer.count("cccp.checkpoints")
-            if self.outer_criterion.satisfied(current, previous):
-                converged = True
+            if converged:
                 break
         return CCCPResult(
             solution=current,
             history=history,
             round_norms=round_norms,
             n_rounds=n_rounds,
-            converged=converged,
             resumed_from=resumed_from,
+            stop_reason=STOP_CONVERGED if converged else STOP_ITERATION_CAP,
+            certificate=certificate,
         )

@@ -48,10 +48,14 @@ _DIVERGENCE_LIMIT = 1e12
 
 
 def _diverged(matrix: np.ndarray) -> bool:
-    """Whether an iterate left the numerically trustworthy region."""
-    return (
-        not np.all(np.isfinite(matrix))
-        or np.abs(matrix).max() > _DIVERGENCE_LIMIT
+    """Whether an iterate left the numerically trustworthy region.
+
+    Two reductions and no full-size temporary: a NaN anywhere makes
+    ``min``/``max`` NaN, which fails both comparisons.
+    """
+    return not (
+        -_DIVERGENCE_LIMIT <= matrix.min()
+        and matrix.max() <= _DIVERGENCE_LIMIT
     )
 
 
@@ -169,6 +173,7 @@ class ForwardBackwardSolver:
                 f"max_step_halvings must be >= 0, got {max_step_halvings}"
             )
         self.max_step_halvings = int(max_step_halvings)
+        self._workspace: Optional[Workspace] = None
 
     def solve(
         self,
@@ -194,7 +199,7 @@ class ForwardBackwardSolver:
             raise OptimizationError("nothing to optimize: no terms given")
         tracer = NULL_TRACER if tracer is None else tracer
         current = np.asarray(initial, dtype=float).copy()
-        ws = Workspace.ensure(getattr(self, "_workspace", None), current)
+        ws = Workspace.ensure(self._workspace, current)
         self._workspace = ws
         inplace_proxes = [
             getattr(prox, "apply_inplace", None) for prox in prox_terms
@@ -232,13 +237,27 @@ class ForwardBackwardSolver:
                 _check_finite(current, step)
             tracer.count("fb.iterations")
             update_norm = ws.l1_update_norm(current, previous)
+            norm = (
+                ws.l1_norm(current)
+                if history is not None or self.criterion.relative
+                else None
+            )
             if history is not None:
-                history.record_norms(ws.l1_norm(current), update_norm)
-            if self.criterion.satisfied_value(update_norm):
+                history.record_norms(norm, update_norm)
+            if self.criterion.satisfied_value(update_norm, norm):
                 break
         if ws.owns(current):
             current = current.copy()
         return current
+
+    @property
+    def workspace(self) -> Optional[Workspace]:
+        """The buffers of the last solve (``None`` before the first).
+
+        The CCCP driver computes its per-round norms through the same
+        scratch buffer, so a round allocates no full-size temporary.
+        """
+        return self._workspace
 
 
 class FactoredForwardBackwardSolver:

@@ -116,6 +116,20 @@ class TestSummary:
         text = build_run_report(trace, name="empty").summary()
         assert "empty" in text
 
+    def test_summary_states_the_stop(self, traced_run):
+        meta = {"stop_reason": "converged", "certificate": 8.4e-4}
+        text = _report(traced_run, name="unit", meta=meta).summary()
+        assert "stop_reason=converged certificate=0.00084" in text
+
+    def test_a_lossy_cap_says_so(self):
+        tracer = Tracer()
+        with tracer.trace("fit") as trace:
+            tracer.count("svt.lossy_truncations", 100)
+        meta = {"stop_reason": "iteration_cap", "certificate": 3.3e-4}
+        text = build_run_report(trace, name="capped", meta=meta).summary()
+        assert "stop_reason=iteration_cap" in text
+        assert "lossy on 100 applies" in text
+
 
 class TestModelRunReport:
     def test_requires_live_tracer(self, aligned, split):
@@ -162,6 +176,8 @@ class TestModelRunReport:
         assert report.meta["model"] == "SLAMPRED-H"
         assert report.meta["fold"] == 0
         assert report.meta["n_rounds"] == model.result.n_rounds
+        assert report.meta["stop_reason"] == model.result.stop_reason
+        assert report.meta["certificate"] == model.result.certificate
         assert len(report.iterations) == model.result.history.n_iterations
         # The objective is evaluated once per CCCP round, on its last record.
         with_objective = [

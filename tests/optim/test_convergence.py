@@ -33,6 +33,37 @@ class TestCriterion:
             criterion.tolerance = 1.0
 
 
+class TestRelativeCriterion:
+    def test_certificate_is_update_over_norm(self):
+        criterion = ConvergenceCriterion(tolerance=1e-3, relative=True)
+        assert criterion.certificate(2.0, 4000.0) == 5e-4
+        assert criterion.satisfied_value(2.0, 4000.0)
+        assert criterion.satisfied_value(4.0, 4000.0)  # r == tolerance
+        assert not criterion.satisfied_value(4.1, 4000.0)
+
+    def test_scale_free(self):
+        """The same relative update passes at any scale of the iterate."""
+        criterion = ConvergenceCriterion(tolerance=1e-3, relative=True)
+        a = np.full((3, 3), 1000.0)
+        b = np.full((3, 3), 1000.5)
+        assert criterion.satisfied(b, a)
+        assert not ConvergenceCriterion(tolerance=1e-3).satisfied(b, a)
+
+    def test_zero_iterate(self):
+        criterion = ConvergenceCriterion(tolerance=1e-3, relative=True)
+        assert criterion.certificate(0.0, 0.0) == 0.0
+        assert criterion.certificate(1.0, 0.0) == float("inf")
+
+    def test_absolute_certificate_ignores_the_norm(self):
+        criterion = ConvergenceCriterion(tolerance=1e-3)
+        assert criterion.certificate(5e-4, 1e9) == 5e-4
+        assert criterion.satisfied_value(5e-4)
+
+    def test_relative_needs_the_norm(self):
+        with pytest.raises(ValueError, match="norm"):
+            ConvergenceCriterion(relative=True).certificate(1.0)
+
+
 class TestHistory:
     def test_record(self):
         history = IterationHistory()

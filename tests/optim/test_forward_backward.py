@@ -7,6 +7,8 @@ The solvers are checked against problems with known closed-form solutions:
 * quadratic + box → clipped target.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,30 @@ class TestBehaviour:
             initial, [SquaredFrobeniusLoss(rng.random((3, 3)))], []
         )
         assert not initial.any()
+
+
+class TestSteadyStateAllocations:
+    def test_l1_box_solve_allocates_no_per_iteration_temporary(self, rng):
+        """Past the workspace, a solve holds at most one n×n array at once.
+
+        The initial copy and the returned copy are the only full-size
+        arrays a solve allocates; a divergence check or a norm that
+        allocated one per iteration would overlap the initial copy.
+        """
+        target = (rng.random((200, 200)) < 0.1).astype(float)
+        smooth = [SquaredFrobeniusLoss(target)]
+        prox = [L1Prox(0.05), BoxProjection(0.0, None)]
+        solver = ForwardBackwardSolver(
+            step_size=0.45,
+            criterion=ConvergenceCriterion(
+                tolerance=1e-12, max_iterations=20, relative=True
+            ),
+        )
+        solver.solve(target, smooth, prox)  # sizes the workspace
+        tracemalloc.start()
+        try:
+            solver.solve(target, smooth, prox, history=IterationHistory())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * target.nbytes

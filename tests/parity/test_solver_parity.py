@@ -112,6 +112,24 @@ class TestTrajectoryParity:
             1.0 + dense_norm
         )
 
+    def test_results_say_why_they_stopped(self):
+        """Both drivers report the stop reason and their last certificate."""
+        adjacency = _random_adjacency(16, degree=4, seed=13)
+        factored, dense = _solver_pair(adjacency)
+        result = factored.solve()
+        dense_result = dense.solve(np.asarray(adjacency.todense()))
+        for capped in (result, dense_result):
+            assert capped.stop_reason == "iteration_cap"
+            assert not capped.converged
+            assert capped.certificate >= 1e-9
+        factored.outer_criterion = ConvergenceCriterion(
+            tolerance=1e3, max_iterations=3
+        )
+        loose = factored.solve()
+        assert loose.stop_reason == "converged"
+        assert loose.n_rounds == 1
+        assert loose.certificate < 1e3
+
 
 class TestModelParity:
     @pytest.fixture(scope="class")
