@@ -2,9 +2,9 @@
 
 The paper's networks hold ~5k users.  This bench runs the full
 generate → split → fit → score pipeline at scale 800 (≈760 target users,
-~8k links) with the truncated-SVT path, demonstrating that nothing in the
-stack is quadratic-with-a-huge-constant and that quality holds up as the
-problem grows.
+~8k links) with the rank-capped (``svd_rank``) warm SVT engine,
+demonstrating that nothing in the stack is quadratic-with-a-huge-constant
+and that quality holds up as the problem grows.
 """
 
 from __future__ import annotations

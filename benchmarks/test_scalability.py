@@ -1,9 +1,10 @@
 """Scalability: SLAMPRED at larger-than-default network sizes.
 
 The paper runs on ~5k-user networks.  This benchmark exercises the scalable
-code path — the truncated-Lanczos singular value thresholding
-(``svd_rank``) — against the exact dense SVT at a few hundred users, and
-checks the two agree on ranking quality.
+code path — the warm-started SVT engine capped at ``svd_rank`` — against
+the uncapped engine, which is the exact SVT up to its verified residual
+tolerance, at a few hundred users, and checks the two agree on ranking
+quality.
 """
 
 from __future__ import annotations

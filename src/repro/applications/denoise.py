@@ -22,6 +22,7 @@ from repro.optim.convergence import ConvergenceCriterion
 from repro.optim.forward_backward import ForwardBackwardSolver
 from repro.optim.losses import SquaredFrobeniusLoss
 from repro.optim.proximal import BoxProjection, L1Prox, TraceNormProx
+from repro.perf.warm_svt import WarmStartSVT
 from repro.utils.matrices import is_square, is_symmetric, zero_diagonal
 from repro.utils.validation import check_integer, check_non_negative, check_positive
 
@@ -38,7 +39,9 @@ class GraphDenoiser:
     step_size, max_iterations, tolerance:
         Forward-backward solver settings.
     svd_rank:
-        Optional truncated-SVD rank for large graphs.
+        Optional rank cap for large graphs: the trace-norm prox then runs
+        on a :class:`~repro.perf.warm_svt.WarmStartSVT` engine capped at
+        this rank, as a SLAMPRED model's ``svd_rank`` does.
 
     Examples
     --------
@@ -85,6 +88,11 @@ class GraphDenoiser:
             )
         if not is_symmetric(adjacency, atol=1e-9):
             raise OptimizationError("adjacency must be symmetric")
+        engine = None
+        if self.svd_rank is not None:
+            engine = WarmStartSVT(
+                initial_rank=self.svd_rank, max_rank=self.svd_rank
+            )
         solver = ForwardBackwardSolver(
             step_size=self.step_size,
             criterion=ConvergenceCriterion(
@@ -95,7 +103,7 @@ class GraphDenoiser:
             adjacency,
             [SquaredFrobeniusLoss(adjacency)],
             [
-                TraceNormProx(self.tau, max_rank=self.svd_rank),
+                TraceNormProx(self.tau, engine=engine),
                 L1Prox(self.gamma),
                 BoxProjection(0.0, None),
             ],

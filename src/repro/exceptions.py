@@ -100,12 +100,14 @@ class CircuitOpenError(ReliabilityError):
 
 
 class TruncatedSVTWarning(RuntimeWarning):
-    """The truncated SVT dropped singular values above the threshold.
+    """The SVT engine dropped spectrum or could not verify its subspace.
 
-    The rank-``r`` Lanczos path of
-    :func:`~repro.optim.proximal.truncated_singular_value_threshold` equals
-    the exact prox only when the (r+1)-th singular value falls below the
-    shrinkage threshold; this warning signals the run where it did not, so
-    the approximation was lossy.  The lost mass is also recorded on the
-    active tracer as the ``svt.tail_excess`` metric.
+    A rank-capped :class:`~repro.perf.warm_svt.WarmStartSVT` (a model's
+    ``svd_rank``) equals the exact prox only when the (r+1)-th singular
+    value falls below the shrinkage threshold; this warning signals the
+    application where it did not, so the approximation was lossy.  The
+    lost mass is also recorded on the active tracer as the
+    ``svt.tail_excess`` metric.  The engine raises the same warning when
+    it falls back to the exact dense SVT or accepts an unverified
+    randomized result.
     """

@@ -49,16 +49,16 @@ def run_figure3(
         anchors=list(aligned.anchors),
         random_state=random_state,
     )
-    # exact=True and the explicit step pin the figure to the seed solver's
-    # bit-exact numerics; the golden regression (results/run.figure3.json)
-    # asserts iteration counts and norms against exactly this trajectory,
-    # so it must not move when the model's default step does.
+    # The explicit step and tolerance pin the figure's trajectory: the
+    # golden regression (results/run.figure3.json) asserts iteration
+    # counts and norms against exactly this run, so it must not move when
+    # the model's default step does.  At step 0.05 the relative
+    # certificate needs 1e-10 to draw the full convergence curve.
     model = SlamPred(
         inner_iterations=inner_iterations,
         outer_iterations=outer_iterations,
-        tolerance=1e-6,
+        tolerance=1e-10,
         step_size=0.05,
-        exact=True,
         tracer=tracer,
     )
     model.fit(task)

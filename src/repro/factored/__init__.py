@@ -10,8 +10,8 @@ decomposition a first-class value type
 proximal CCCP entirely on factors, never materializing a dense ``n×n``
 matrix: O(nk + nnz) memory instead of O(n²).
 
-The dense ``exact=True`` solver remains the parity oracle — see
-``tests/parity/`` and DESIGN.md §13.
+The dense solver (:class:`~repro.optim.cccp.CCCPSolver`) remains the
+parity oracle — see ``tests/parity/`` and DESIGN.md §13.
 """
 
 from repro.factored.estimate import FactoredEstimate

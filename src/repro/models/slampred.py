@@ -32,9 +32,8 @@ Every variant also accepts ``factored=True``, which swaps the dense n×n
 iterate for the O(nk) :class:`~repro.factored.estimate.FactoredEstimate`
 representation end to end (DESIGN.md §13): the solve runs on factors, the
 fitted predictor stores ``U diag(σ) Vᵀ + R`` and scoring a pair costs one
-O(k) dot product.  The dense path (and its ``exact=True`` bit-exact seed
-numerics) remains the parity oracle the test suite checks the factored
-path against.
+O(k) dot product.  The dense path remains the parity oracle the test
+suite checks the factored path against.
 """
 
 from __future__ import annotations
@@ -75,8 +74,8 @@ from repro.utils.validation import (
 _FACTORED_GRADIENT_RANK = 128
 _FACTORED_GRADIENT_RESIDUAL_MULTIPLE = 8
 
-# The seed step, kept by the bit-exact and the factored paths.  The dense
-# hot path steps at 0.9/L of its loss instead (DESIGN.md §12).
+# The seed step, kept by the factored path.  The dense path steps at 0.9/L
+# of its loss instead (DESIGN.md §12).
 _SEED_STEP_SIZE = 0.05
 _HOT_STEP_FRACTION = 0.9
 
@@ -113,16 +112,12 @@ class SlamPred(MatrixPredictor):
         refine rather than drown the intimacy ranking (see the
         gradient-scale ablation benchmark).
     svd_rank:
-        Starting rank of the warm-started SVT engine (and, on the exact
-        path, the rank of the legacy truncated Lanczos SVD) — the
-        scalable path for networks with thousands of users.
-    exact:
-        When True, fit with the seed solver's bit-exact numerics: legacy
-        cold-start SVT, sequential smooth terms, allocating inner loop.
-        The default False enables the hot path — the warm-started
-        adaptive-rank SVT engine, the fused smooth objective and the
-        workspace-backed inner loop (DESIGN.md §12); predictions match
-        the exact path to the SVT's verified residual tolerance.
+        Starting rank and rank cap of the warm-started SVT engine — the
+        scalable path for networks with thousands of users.  ``None``
+        leaves the engine uncapped, so every prox is the exact SVT up to
+        the engine's verified residual tolerance; a cap is lossy when
+        spectrum above the threshold spills past it, which the engine
+        reports with a :class:`~repro.exceptions.TruncatedSVTWarning`.
     factored:
         When True, run the solve on the factored O(nk) representation
         (DESIGN.md §13): no n×n array is formed during fitting, the
@@ -131,19 +126,17 @@ class SlamPred(MatrixPredictor):
         :attr:`factored_estimate`, and pair scores are unnormalized
         ``max(S_ij, 0)`` entries (a positive rescaling of the dense
         path's peak-normalized scores — AUC and top-k rankings are
-        unaffected).  Mutually exclusive with ``exact``; the intimacy
-        gradient, when present, is compressed to rank
-        ``min(n − 1, 128)`` plus its largest-magnitude residual entries
-        before the solve.
+        unaffected).  The intimacy gradient, when present, is compressed
+        to rank ``min(n − 1, 128)`` plus its largest-magnitude residual
+        entries before the solve.
     svt_options:
         Extra keyword arguments for the
-        :class:`~repro.perf.warm_svt.WarmStartSVT` engine on the hot and
-        factored paths (``seed``, ``dense_fallback_cutoff``, tolerance
-        knobs, …), layered over the rank settings derived from
-        ``svd_rank``.  This is how the sharded solver gives every shard
-        its own deterministic SVT seed and disables the dense recovery
-        fallback on sub-problems small enough to qualify for it.
-        Ignored on the ``exact`` path, which pins the legacy engine.
+        :class:`~repro.perf.warm_svt.WarmStartSVT` engine (``seed``,
+        ``dense_fallback_cutoff``, tolerance knobs, …), layered over the
+        rank settings derived from ``svd_rank``.  This is how the sharded
+        solver gives every shard its own deterministic SVT seed and
+        disables the dense recovery fallback on sub-problems small enough
+        to qualify for it.
     n_jobs:
         Thread count for the per-source intimacy extraction and transfer
         pipeline (``None`` picks a bounded default; 1 forces the
@@ -153,21 +146,20 @@ class SlamPred(MatrixPredictor):
     step_size:
         Proximal gradient learning rate θ (paper: 0.001).  ``None`` (the
         default) takes the path's step: ``0.9 / L`` of the loss on the
-        dense hot path (0.45 for the squared Frobenius loss, L = 2), and
-        the seed's 0.05 on the ``exact`` and ``factored`` paths.  The
-        surrogate loss is well conditioned, so a step near ``1/L`` ends the
-        solve in a handful of iterations (DESIGN.md §12).
+        dense path (0.45 for the squared Frobenius loss, L = 2), and the
+        seed's 0.05 on the ``factored`` path.  The surrogate loss is well
+        conditioned, so a step near ``1/L`` ends the solve in a handful of
+        iterations (DESIGN.md §12).
     inner_iterations:
         Proximal steps per CCCP round.
     outer_iterations:
         Maximum CCCP rounds.
     tolerance:
-        Convergence tolerance on both loops.  On the dense hot path it
-        bounds the relative certificate ``‖S_t − S_{t−1}‖₁ / ‖S_t‖₁``, the
-        fixed-point residual of the prox-gradient map; the ``exact`` path
-        keeps the seed's absolute ℓ1 update norm and the ``factored`` path
-        its absolute Frobenius update surrogate.  :attr:`result` records
-        the stop reason and the final certificate.
+        Convergence tolerance on both loops.  On the dense path it bounds
+        the relative certificate ``‖S_t − S_{t−1}‖₁ / ‖S_t‖₁``, the
+        fixed-point residual of the prox-gradient map; the ``factored``
+        path keeps its absolute Frobenius update surrogate.
+        :attr:`result` records the stop reason and the final certificate.
     instances_per_network:
         Link-instance sample size for fitting the adaptation; ``None``
         scales with the target size (see
@@ -214,7 +206,6 @@ class SlamPred(MatrixPredictor):
         use_attributes: bool = True,
         use_sources: bool = True,
         learn_alphas: bool = True,
-        exact: bool = False,
         factored: bool = False,
         svt_options: Optional[dict] = None,
         n_jobs: Optional[int] = None,
@@ -268,13 +259,7 @@ class SlamPred(MatrixPredictor):
                 "use_sources requires use_attributes (transfer is carried "
                 "by attribute features)"
             )
-        self.exact = bool(exact)
         self.factored = bool(factored)
-        if self.exact and self.factored:
-            raise ConfigurationError(
-                "exact and factored are mutually exclusive: exact pins the "
-                "dense seed numerics, factored never forms the dense iterate"
-            )
         if svt_options is None:
             self.svt_options = {}
         elif isinstance(svt_options, dict):
@@ -458,7 +443,7 @@ class SlamPred(MatrixPredictor):
         """The step of this fit: the configured one, else the path's."""
         if self.step_size is not None:
             return self.step_size
-        if self.exact or self.factored:
+        if self.factored:
             return _SEED_STEP_SIZE
         return _HOT_STEP_FRACTION / loss.lipschitz
 
@@ -475,30 +460,19 @@ class SlamPred(MatrixPredictor):
             self._fit_factored(sparse.csr_matrix(adjacency), gradient)
             return
         loss = SquaredFrobeniusLoss(adjacency)
-        if self.exact:
-            self._svt_engine = None
-        else:
-            # svd_rank caps the engine exactly like it capped the legacy
-            # truncated path: the fast path is then a warm-started drop-in
-            # for the same rank-capped (possibly lossy) operator.
-            self._svt_engine = self._build_svt_engine()
+        self._svt_engine = self._build_svt_engine()
         prox_terms = [
-            TraceNormProx(
-                self.tau, max_rank=self.svd_rank, engine=self._svt_engine
-            ),
+            TraceNormProx(self.tau, engine=self._svt_engine),
             L1Prox(self.gamma),
             BoxProjection(0.0, None),
         ]
-        # The hot path stops on the relative certificate; the exact path
-        # keeps the seed's absolute rule, which the Figure 3 golden pins.
-        relative = not self.exact
         self._fit_step_size = self._step_for(loss)
         inner = ForwardBackwardSolver(
             step_size=self._fit_step_size,
             criterion=ConvergenceCriterion(
                 tolerance=self.tolerance,
                 max_iterations=self.inner_iterations,
-                relative=relative,
+                relative=True,
             ),
         )
         solver = CCCPSolver(
@@ -509,9 +483,8 @@ class SlamPred(MatrixPredictor):
             outer_criterion=ConvergenceCriterion(
                 tolerance=self.tolerance,
                 max_iterations=self.outer_iterations,
-                relative=relative,
+                relative=True,
             ),
-            fuse_smooth=not self.exact,
         )
         with tracer.span("cccp"):
             self._result = solver.solve(
@@ -595,9 +568,7 @@ class SlamPred(MatrixPredictor):
             )
         self._svt_engine = self._build_svt_engine()
         prox_terms = [
-            TraceNormProx(
-                self.tau, max_rank=self.svd_rank, engine=self._svt_engine
-            ),
+            TraceNormProx(self.tau, engine=self._svt_engine),
             L1Prox(self.gamma),
             BoxProjection(0.0, None),
         ]

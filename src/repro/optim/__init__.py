@@ -16,7 +16,6 @@ from repro.optim.proximal import (
     soft_threshold,
     soft_threshold_inplace,
     singular_value_threshold,
-    truncated_singular_value_threshold,
     L1Prox,
     TraceNormProx,
     BoxProjection,
@@ -40,7 +39,6 @@ __all__ = [
     "soft_threshold",
     "soft_threshold_inplace",
     "singular_value_threshold",
-    "truncated_singular_value_threshold",
     "L1Prox",
     "TraceNormProx",
     "BoxProjection",

@@ -135,15 +135,14 @@ class CCCPSolver:
         per-round inner budget.
     outer_criterion:
         Stopping rule on the outer sequence ``S_cccp``.
-    fuse_smooth:
-        When the loss is the plain :class:`SquaredFrobeniusLoss`, combine
-        it with the linearized intimacy term into one
-        :class:`~repro.optim.losses.FusedSmoothObjective` whose constant
-        ``2A + G`` is precomputed once per CCCP solve — one gradient
-        evaluation per inner iteration instead of two.  The fused
-        gradient ``2S − (2A + G)`` differs from the sequential
-        accumulation ``(2S − 2A) + (−G)`` only in float association, so
-        this is off on the bit-exact path.
+
+    A plain :class:`SquaredFrobeniusLoss` is combined with the linearized
+    intimacy term into one :class:`~repro.optim.losses.FusedSmoothObjective`
+    whose constant ``2A + G`` is precomputed once per CCCP solve — one
+    gradient evaluation per inner iteration instead of two.  Any other
+    loss runs beside a separate
+    :class:`~repro.optim.losses.LinearizedIntimacyTerm`.  Either way the
+    traced objective is reported per unfused term.
     """
 
     def __init__(
@@ -153,11 +152,9 @@ class CCCPSolver:
         intimacy_gradient: Optional[np.ndarray] = None,
         inner_solver: Optional[ForwardBackwardSolver] = None,
         outer_criterion: Optional[ConvergenceCriterion] = None,
-        fuse_smooth: bool = False,
     ):
         self.loss = loss
         self.prox_terms = list(prox_terms)
-        self.fuse_smooth = bool(fuse_smooth)
         self.intimacy_gradient = _as_dense_gradient(intimacy_gradient)
         self.inner_solver = inner_solver or ForwardBackwardSolver(
             step_size=1e-3,
@@ -225,16 +222,17 @@ class CCCPSolver:
                 f"intimacy gradient shape {self.intimacy_gradient.shape} "
                 f"does not match variable shape {current.shape}"
             )
-        if self.fuse_smooth and isinstance(self.loss, SquaredFrobeniusLoss):
+        # The objective is reported term by term; the inner solver steps
+        # on the fused form of the same smooth part when there is one.
+        unfused = [self.loss]
+        if self.intimacy_gradient is not None:
+            unfused.append(LinearizedIntimacyTerm(self.intimacy_gradient))
+        objective_terms = unfused + self.prox_terms
+        smooth_terms = unfused
+        if isinstance(self.loss, SquaredFrobeniusLoss):
             smooth_terms = [
                 FusedSmoothObjective(self.loss.target, self.intimacy_gradient)
             ]
-        else:
-            smooth_terms = [self.loss]
-            if self.intimacy_gradient is not None:
-                smooth_terms.append(
-                    LinearizedIntimacyTerm(self.intimacy_gradient)
-                )
         history = IterationHistory()
         round_norms = resumed_norms
         ws = None
@@ -257,7 +255,7 @@ class CCCPSolver:
             if round_records and is_tracing(tracer):
                 last = round_records[-1]
                 last.objective_terms = _objective_terms(
-                    current, smooth_terms + self.prox_terms
+                    current, objective_terms
                 )
                 last.objective = float(sum(last.objective_terms.values()))
             for record in round_records:

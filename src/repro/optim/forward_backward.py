@@ -143,8 +143,8 @@ def _prox_spans(prox_terms: Sequence) -> List[str]:
     return [f"prox:{label}" for label in _term_labels(prox_terms)]
 
 
-class ForwardBackwardSolver:
-    """Gradient step + sequential proximal steps (paper's Algorithm 1 inner loop).
+class _SplittingSolver:
+    """The constructor the three solvers share.
 
     Parameters
     ----------
@@ -173,7 +173,16 @@ class ForwardBackwardSolver:
                 f"max_step_halvings must be >= 0, got {max_step_halvings}"
             )
         self.max_step_halvings = int(max_step_halvings)
-        self._workspace: Optional[Workspace] = None
+        # The solvers that run on buffers cache them here across solves.
+        self._workspace = None
+
+
+class ForwardBackwardSolver(_SplittingSolver):
+    """Gradient step + sequential proximal steps (paper's Algorithm 1 inner loop).
+
+    Takes ``step_size``, ``criterion`` and ``max_step_halvings`` (see
+    :class:`_SplittingSolver`).
+    """
 
     def solve(
         self,
@@ -260,7 +269,7 @@ class ForwardBackwardSolver:
         return self._workspace
 
 
-class FactoredForwardBackwardSolver:
+class FactoredForwardBackwardSolver(_SplittingSolver):
     """Forward-backward splitting on a factored iterate ``S = L + R``.
 
     Runs the same iteration as :class:`ForwardBackwardSolver` — gradient
@@ -291,20 +300,6 @@ class FactoredForwardBackwardSolver:
     kept from the step that computed them (DESIGN.md §13): one O(nnz·k)
     gather per iteration in all.
     """
-
-    def __init__(
-        self,
-        step_size: float = 1e-3,
-        criterion: ConvergenceCriterion = None,
-        max_step_halvings: int = 3,
-    ):
-        self.step_size = check_positive(step_size, "step_size")
-        self.criterion = criterion or ConvergenceCriterion()
-        if max_step_halvings < 0:
-            raise OptimizationError(
-                f"max_step_halvings must be >= 0, got {max_step_halvings}"
-            )
-        self.max_step_halvings = int(max_step_halvings)
 
     @staticmethod
     def _split_proxes(prox_terms: Sequence):
@@ -361,9 +356,7 @@ class FactoredForwardBackwardSolver:
         pattern = abs(constant)
         if initial.residual.nnz:
             pattern = pattern + abs(initial.residual)
-        ws = FactoredWorkspace.ensure(
-            getattr(self, "_workspace", None), pattern
-        )
+        ws = FactoredWorkspace.ensure(self._workspace, pattern)
         self._workspace = ws
         current = initial
         # The previous iterate on Ω: its low-rank values (copied out of the
@@ -431,7 +424,7 @@ class FactoredForwardBackwardSolver:
         return current
 
 
-class GeneralizedForwardBackward:
+class GeneralizedForwardBackward(_SplittingSolver):
     """Raguet et al. (2013) generalized forward-backward splitting.
 
     Maintains auxiliaries ``z_i`` (one per non-smooth term) and iterates::
@@ -450,20 +443,6 @@ class GeneralizedForwardBackward:
     most ``max_step_halvings`` times, before the solver raises
     :class:`~repro.exceptions.OptimizationError`.
     """
-
-    def __init__(
-        self,
-        step_size: float = 1e-3,
-        criterion: ConvergenceCriterion = None,
-        max_step_halvings: int = 3,
-    ):
-        self.step_size = check_positive(step_size, "step_size")
-        self.criterion = criterion or ConvergenceCriterion()
-        if max_step_halvings < 0:
-            raise OptimizationError(
-                f"max_step_halvings must be >= 0, got {max_step_halvings}"
-            )
-        self.max_step_halvings = int(max_step_halvings)
 
     def solve(
         self,

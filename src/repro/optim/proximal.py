@@ -15,29 +15,21 @@ plus the regularizer's ``value`` so solvers can report objective values.
 Every operator accepts an optional ``tracer``
 (:class:`~repro.observability.tracer.Tracer`): when live, the SVT paths
 record the retained rank, the effective threshold and the first discarded
-singular value (``svt.*`` metrics), which is how truncated-SVT
+singular value (``svt.*`` metrics), which is how a rank-capped SVT's
 approximation loss becomes visible in run reports.  ``tracer=None`` keeps
 the operators byte-for-byte on their untraced path.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 import numpy as np
-import scipy.sparse.linalg as _sparse_linalg
 
-from repro.exceptions import TruncatedSVTWarning
 from repro.observability.tracer import Tracer, is_tracing
 from repro.reliability.faults import fault_point
 from repro.utils.matrices import l1_norm, trace_norm
 from repro.utils.validation import check_non_negative
-
-# Hoisted from the truncated-SVT hot path: the per-call ``import`` and the
-# ``ArpackError`` attribute lookup used to run inside every single
-# truncated prox application.
-_ARPACK_ERROR = getattr(_sparse_linalg, "ArpackError", RuntimeError)
 
 
 def soft_threshold(
@@ -148,90 +140,6 @@ def singular_value_threshold(
     return (u * shrunk[None, :]) @ vt
 
 
-def truncated_singular_value_threshold(
-    matrix: np.ndarray,
-    threshold: float,
-    rank: int,
-    tracer: Optional[Tracer] = None,
-) -> np.ndarray:
-    """SVT via a rank-``rank`` truncated SVD (scipy's Lanczos ``svds``).
-
-    At the paper's scale (5k × 5k adjacency matrices) a full SVD per
-    proximal step is the bottleneck; after thresholding, only the leading
-    singular values survive anyway, so computing just the top ``rank``
-    triplets gives the same operator whenever the (rank+1)-th singular
-    value is below ``threshold``.  One extra triplet is computed as a probe
-    of that (rank+1)-th value: when it exceeds the threshold the result is
-    only a best-effort approximation, and the loss is surfaced with a
-    :class:`~repro.exceptions.TruncatedSVTWarning` plus (under a live
-    tracer) the ``svt.lossy_truncations`` counter and ``svt.tail_excess``
-    metric.  Falls back to the exact dense SVT when the matrix is small or
-    ``rank`` is not actually truncating.
-
-    The Lanczos iteration is started from a fixed vector so repeated runs
-    are deterministic (scipy's default draws a random start).
-    """
-    threshold = check_non_negative(threshold, "threshold")
-    rank = int(rank)
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
-    matrix = np.asarray(matrix, dtype=float)
-    if rank >= min(matrix.shape) - 1:
-        return singular_value_threshold(matrix, threshold, tracer=tracer)
-    n_small = min(matrix.shape)
-    v0 = np.full(n_small, 1.0 / np.sqrt(n_small))
-
-    def _truncated_svd():
-        """Lanczos SVD with the chaos hook; failures promote to dense SVT."""
-        fault_point("solver.svd.truncated")
-        return _sparse_linalg.svds(matrix, k=rank + 1, v0=v0)
-
-    try:
-        if is_tracing(tracer):
-            with tracer.span("svt"):
-                u, singular, vt = _truncated_svd()
-        else:
-            u, singular, vt = _truncated_svd()
-    except (np.linalg.LinAlgError, _ARPACK_ERROR) as exc:
-        # Lanczos non-convergence (ArpackError/ArpackNoConvergence) or an
-        # injected LinAlgError — recover with the exact dense prox rather
-        # than aborting the whole fit.
-        if is_tracing(tracer):
-            tracer.count("svt.dense_fallbacks")
-        warnings.warn(
-            "truncated SVD failed; falling back to the exact dense SVT "
-            f"for this proximal step ({type(exc).__name__})",
-            TruncatedSVTWarning,
-            stacklevel=2,
-        )
-        return singular_value_threshold(matrix, threshold, tracer=tracer)
-    # svds returns singular values in ascending order: the first triplet is
-    # the (rank+1)-th largest — the tail probe — and is never retained.
-    tail = float(singular[0])
-    u, singular, vt = u[:, 1:], singular[1:], vt[1:]
-    shrunk = np.maximum(singular - threshold, 0.0)
-    if tail > threshold:
-        excess = tail - threshold
-        # Keep the message value-free so the warnings machinery dedupes it
-        # inside solver loops; per-apply magnitudes go to the tracer.
-        warnings.warn(
-            f"truncated SVT at rank {rank} is lossy: the (rank+1)-th "
-            "singular value exceeds the shrinkage threshold, so part of "
-            "the spectrum was dropped; raise the rank (or svd_rank) to "
-            "recover the exact prox, or inspect the 'svt.tail_excess' "
-            "tracer metric for the lost magnitude",
-            TruncatedSVTWarning,
-            stacklevel=2,
-        )
-        if is_tracing(tracer):
-            tracer.count("svt.lossy_truncations")
-            tracer.metric("svt.tail_excess", excess)
-    _record_svt_metrics(
-        tracer, threshold, int(np.count_nonzero(shrunk)), tail
-    )
-    return (u * shrunk[None, :]) @ vt
-
-
 class L1Prox:
     """The ℓ1 regularizer ``γ‖S‖₁`` with its proximal map.
 
@@ -295,24 +203,18 @@ class TraceNormProx:
     ----------
     weight:
         The regularization weight τ (the paper uses τ = 1.0).
-    max_rank:
-        When set (and no ``engine`` is given), the prox uses a truncated
-        SVD of this rank (:func:`truncated_singular_value_threshold`) —
-        the legacy scalable path for matrices at the paper's 5k-user
-        scale.
     engine:
         A stateful SVT operator (duck-typed; in practice
         :class:`~repro.perf.warm_svt.WarmStartSVT`) that takes over the
         proximal map.  The engine warm-starts each application from the
-        previous one.  :meth:`value` does not consult it: the objective
-        is evaluated once per CCCP round, so one SVD there is cheap.
+        previous one, and a rank cap (the models' ``svd_rank``) lives on
+        it.  Without an engine every application is the exact dense SVT.
+        :meth:`value` does not consult it: the objective is evaluated once
+        per CCCP round, so one SVD there is cheap.
     """
 
-    def __init__(self, weight: float, max_rank: int = None, engine=None):
+    def __init__(self, weight: float, engine=None):
         self.weight = check_non_negative(weight, "weight")
-        if max_rank is not None and int(max_rank) < 1:
-            raise ValueError(f"max_rank must be >= 1, got {max_rank}")
-        self.max_rank = None if max_rank is None else int(max_rank)
         self.engine = engine
 
     def value(self, matrix: np.ndarray) -> float:
@@ -328,10 +230,6 @@ class TraceNormProx:
         """``prox_{step·τ‖·‖*}`` — singular value threshold at ``step * τ``."""
         if self.engine is not None:
             return self.engine.apply(matrix, step * self.weight, tracer=tracer)
-        if self.max_rank is not None:
-            return truncated_singular_value_threshold(
-                matrix, step * self.weight, self.max_rank, tracer=tracer
-            )
         return singular_value_threshold(
             matrix, step * self.weight, tracer=tracer
         )
@@ -349,7 +247,7 @@ class TraceNormProx:
         range finder runs through the operand's matvecs and no dense
         matrix is formed.  Without one, the operand is densified (small-n
         oracle path), SVT'd exactly, and re-wrapped as a pure low-rank
-        estimate, honoring ``max_rank`` the way the truncated path does.
+        estimate.
         """
         if self.engine is not None:
             return self.engine.apply_factored(
@@ -359,7 +257,7 @@ class TraceNormProx:
 
         u, singular, vt = _dense_svd(estimate.to_dense(), tracer)
         shrunk = np.maximum(singular - step * self.weight, 0.0)
-        retained = int(np.count_nonzero(shrunk[: self.max_rank]))
+        retained = int(np.count_nonzero(shrunk))
         if is_tracing(tracer):
             tail = (
                 float(singular[retained])
@@ -380,9 +278,7 @@ class TraceNormProx:
             return (
                 f"TraceNormProx(weight={self.weight}, engine={self.engine!r})"
             )
-        return (
-            f"TraceNormProx(weight={self.weight}, max_rank={self.max_rank})"
-        )
+        return f"TraceNormProx(weight={self.weight})"
 
 
 class BoxProjection:

@@ -4,8 +4,8 @@ The dominant cost of every CCCP round is the SVD inside the trace-norm
 proximal step.  Consecutive forward-backward iterates differ by O(θ)
 (one gradient step plus entry-wise shrinkage), so the singular subspace
 the *previous* proximal step computed is an excellent starting guess for
-the current one — yet the seed solver cold-started a full dense SVD (or
-a fixed-vector Lanczos) from scratch on every single inner iteration.
+the current one — yet a plain SVT cold-starts a full dense SVD from
+scratch on every single inner iteration.
 
 :class:`WarmStartSVT` is a stateful SVT operator built on randomized
 subspace iteration (Halko, Martinsson & Tropp 2011):
@@ -27,15 +27,13 @@ subspace iteration (Halko, Martinsson & Tropp 2011):
    which makes ``A v_i = σ_i u_i`` exact, so it checks
    ``‖Aᵀ u_i − σ_i v_i‖``; the factored path projects ``qᵀA`` and checks
    ``‖A v_i − σ_i u_i‖``.  Any doubt — including an injected
-   ``solver.svd.truncated`` fault — falls back to the exact dense prox
-   (the same backstop the legacy truncated path used), so the operator
-   is never silently lossy.
+   ``solver.svd.truncated`` fault — falls back to the exact dense prox,
+   so the operator is never silently lossy.
 
-With a ``max_rank`` cap the engine instead reproduces the semantics of
-the legacy *truncated* path (a model's ``svd_rank``): the rank never
-grows past the cap, and when spectrum above the threshold spills past it
-the application is accepted as a best-effort rank-capped prox and the
-loss is surfaced exactly like the legacy path surfaced it — a
+With a ``max_rank`` cap (a model's ``svd_rank``) the engine is instead
+the *truncated* SVT: the rank never grows past the cap, and when
+spectrum above the threshold spills past it the application is accepted
+as a best-effort rank-capped prox and the loss is surfaced — a
 :class:`TruncatedSVTWarning` plus the ``svt.lossy_truncations`` counter
 and ``svt.tail_excess`` metric.  Because a capped operator is only
 specified up to the cap's own truncation error (which is O(σ) when the
@@ -43,7 +41,7 @@ spectrum is clustered at the cap, making individual boundary triplets
 ill-conditioned), capped applications verify against the proportionate
 ``lossy_ritz_tol`` / ``lossy_residual_tol`` instead of the exactness
 tolerances — that is what lets a warm start finish in a handful of
-power iterations where a cold Lanczos run pays hundreds of matvecs.
+power iterations where a cold start pays hundreds of matvecs.
 
 Between applications the engine keeps only its warm right subspace and
 its operating rank; it caches no output and no spectrum.  Per-apply
@@ -128,8 +126,8 @@ class WarmStartSVT:
         Optional hard ceiling on the adaptive rank.  ``None`` (default)
         means the engine is *exact*: it grows until the whole
         supra-threshold spectrum is captured (or goes dense).  A value
-        reproduces the legacy truncated path's rank-capped, possibly
-        lossy operator — see the module docstring.
+        makes it the rank-capped, possibly lossy truncated SVT — see the
+        module docstring.
     min_rank:
         Floor of the adaptive rank.
     oversample:
@@ -252,18 +250,17 @@ class WarmStartSVT:
         self, matrix: np.ndarray, threshold: float, tracer: Optional[Tracer]
     ) -> np.ndarray:
         n_small = min(matrix.shape)
-        # Every application traverses the truncated-SVT fault site, like
-        # the legacy truncated path did: an injected fault downgrades this
-        # step to the dense backstop regardless of matrix size.
+        # Every application traverses the truncated-SVT fault site: an
+        # injected fault downgrades this step to the dense backstop
+        # regardless of matrix size.
         try:
             fault_point("solver.svd.truncated")
         except np.linalg.LinAlgError as exc:
             return self._fallback(matrix, threshold, tracer, repr(exc))
         if n_small <= self.dense_cutoff:
             return self._apply_dense(matrix, threshold, tracer)
-        # A cap at (or past) the dense regime is not actually truncating,
-        # matching the legacy path's promotion of such ranks to the exact
-        # dense prox.
+        # A cap at (or past) the dense regime is not actually truncating:
+        # such ranks get the exact prox.
         capped = self.max_rank is not None and self.max_rank < n_small - 1
         rank_ceiling = self.max_rank if capped else n_small
         limit = None
@@ -305,10 +302,10 @@ class WarmStartSVT:
         # Uncapped: σ_{budget+1} ≤ σ_budget = singular[-1] ≤ threshold, so
         # every direction outside the sketch is provably shrunk to zero
         # and the truncated prox is exact (up to residual_tol).  Capped:
-        # the retained set stops at the cap regardless, and — exactly like
-        # the legacy truncated path's probe triplet — a supra-threshold
-        # (cap+1)-th singular value means spectrum was dropped: accept the
-        # best-effort rank-capped prox and surface the loss.
+        # the retained set stops at the cap regardless, and a
+        # supra-threshold (cap+1)-th singular value means spectrum was
+        # dropped: accept the best-effort rank-capped prox and surface the
+        # loss.
         if capped:
             limit = self.max_rank
             if (
@@ -447,7 +444,7 @@ class WarmStartSVT:
         tracer: Optional[Tracer],
         reason: str,
     ) -> np.ndarray:
-        """Exact dense recovery; mirrors the legacy truncated-path warning."""
+        """Exact dense recovery, announced by a TruncatedSVTWarning."""
         self.stats["dense_fallbacks"] += 1
         if is_tracing(tracer):
             tracer.count("svt.dense_fallbacks")

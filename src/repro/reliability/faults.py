@@ -13,7 +13,7 @@ Registered sites (the vocabulary chaos tests and ``tools/chaos_smoke.py``
 drive):
 
 ======================  ======================================================
-``solver.svd.truncated``  the Lanczos ``svds`` call of the truncated SVT
+``solver.svd.truncated``  each randomized apply of the warm-started SVT engine
 ``solver.svd.dense``      the dense ``np.linalg.svd`` call of the exact SVT
 ``artifact.read``         :meth:`ArtifactStore.load` integrity validation
 ``artifact.slow_read``    delay-only site on the same load path
@@ -58,7 +58,7 @@ class InjectedFaultError(ReliabilityError):
 
 
 KNOWN_SITES: Dict[str, str] = {
-    "solver.svd.truncated": "truncated (Lanczos) SVD inside the SVT prox",
+    "solver.svd.truncated": "randomized SVD of the warm-started SVT engine",
     "solver.svd.dense": "dense SVD inside the exact SVT prox",
     "artifact.read": "artifact-store load/validation path",
     "artifact.slow_read": "artifact-store load path (delay only)",

@@ -126,9 +126,7 @@ class WarmRefitter:
 
     def _assemble_prox(self):
         return [
-            TraceNormProx(
-                self.tau, max_rank=self.svd_rank, engine=self._svt_engine
-            ),
+            TraceNormProx(self.tau, engine=self._svt_engine),
             L1Prox(self.gamma),
             BoxProjection(0.0, None),
         ]
@@ -181,7 +179,6 @@ class WarmRefitter:
                 tolerance=self.tolerance,
                 max_iterations=self.outer_iterations,
             ),
-            fuse_smooth=True,
         )
         result = solver.solve(self._dense_initial(dense), tracer=tracer)
         if self.checkpoint_manager is not None:

@@ -1,7 +1,7 @@
 """Golden regression: the Figure 3 convergence run must match the archive.
 
 ``results/run.figure3.json`` is the archived objective trajectory of the
-seed implementation.  Replaying the experiment and asserting the series
+dense SLAMPRED path at the figure's pinned step and tolerance.  Replaying the experiment and asserting the series
 match (within floating-point tolerance) pins the solver numerics, so
 telemetry instrumentation or solver refactors cannot silently change what
 the optimizer computes.  If a change is *intended* to alter numerics,

@@ -59,7 +59,8 @@ class TestSeedDeterminism:
         assert np.array_equal(first.score_matrix, second.score_matrix)
 
     def test_truncated_svd_path_deterministic(self, fit_inputs):
-        """The Lanczos SVT starts from a fixed vector, so it replays too."""
+        """The rank-capped SVT seeds its sketch from a fixed-seed generator,
+        so it replays too."""
         first = _fit(fit_inputs, svd_rank=25)
         second = _fit(fit_inputs, svd_rank=25)
         assert np.array_equal(first.score_matrix, second.score_matrix)

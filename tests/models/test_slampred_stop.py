@@ -1,10 +1,9 @@
 """How a SLAMPRED fit stops, path by path.
 
-* The dense hot path (the default constructor) stops both loops on the
+* The dense path (the default constructor) stops both loops on the
   relative certificate ``‖S_t − S_{t−1}‖₁ / ‖S_t‖₁ ≤ tolerance`` and
   steps at 0.9/L of its loss; it ends well before its iteration cap.
-* ``exact=True`` keeps the seed's absolute rule ``‖S_t − S_{t−1}‖₁ <
-  tolerance`` and the seed step 0.05 (the Figure 3 golden pins it).
+* ``factored=True`` keeps the seed step 0.05.
 
 Each rule is read back from the per-iteration history: an inner loop
 ends at the first iteration whose certificate passes, or at its cap.
@@ -48,11 +47,6 @@ def _relative(record):
 @pytest.fixture(scope="module")
 def hot(aligned, split):
     return SlamPred(tracer=Tracer()).fit(_task(aligned, split))
-
-
-@pytest.fixture(scope="module")
-def exact(aligned, split):
-    return SlamPred(exact=True, tracer=Tracer()).fit(_task(aligned, split))
 
 
 class TestHotPath:
@@ -100,24 +94,13 @@ class TestHotPath:
             assert after <= before + 1e-9 * abs(before)
 
 
-class TestExactPath:
-    def test_keeps_the_absolute_rule(self, exact):
-        for records in _rounds(exact.result.history):
-            updates = [record.update_norm for record in records]
-            if len(records) < exact.inner_iterations:
-                assert updates[-1] < TOLERANCE
-            assert all(u >= TOLERANCE for u in updates[:-1])
-
-    def test_outer_certificate_is_the_absolute_round_update(
-        self, exact, aligned, split
-    ):
-        rounds = exact.result.n_rounds
-        shorter = SlamPred(exact=True, outer_iterations=rounds - 1).fit(
-            _task(aligned, split)
-        )
-        expected = l1_norm(exact.result.solution - shorter.result.solution)
-        assert exact.result.certificate == expected
-
-    def test_keeps_the_seed_step(self, exact):
-        assert exact.step_size is None
-        assert exact.run_report().meta["step_size"] == 0.05
+class TestFactoredPath:
+    def test_keeps_the_seed_step(self, aligned, split):
+        factored = SlamPred(
+            factored=True,
+            inner_iterations=3,
+            outer_iterations=2,
+            tracer=Tracer(),
+        ).fit(_task(aligned, split))
+        assert factored.step_size is None
+        assert factored.run_report().meta["step_size"] == 0.05

@@ -28,8 +28,8 @@ class _ExplodingLoss:
     def value(self, matrix):
         return self.factor * float(np.sum(matrix**2))
 
-    def gradient(self, matrix):
-        return 2 * self.factor * matrix
+    def gradient(self, matrix, out=None):
+        return np.multiply(2 * self.factor, matrix, out=out)
 
 
 class TestDivergenceGuard:

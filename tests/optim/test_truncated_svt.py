@@ -1,4 +1,10 @@
-"""Tests for the truncated (scalable) singular value thresholding path."""
+"""Tests for the truncated (rank-capped) singular value thresholding path.
+
+The one truncated SVT is :class:`~repro.perf.warm_svt.WarmStartSVT` with a
+rank cap (``initial_rank=r, max_rank=r``), the operator a model's
+``svd_rank`` selects.  ``dense_cutoff`` is lowered so these small matrices
+take the randomized path instead of the exact dense SVD.
+"""
 
 import warnings
 
@@ -7,11 +13,13 @@ import pytest
 
 from repro.exceptions import TruncatedSVTWarning
 from repro.observability.tracer import Tracer
-from repro.optim.proximal import (
-    TraceNormProx,
-    singular_value_threshold,
-    truncated_singular_value_threshold,
-)
+from repro.optim.proximal import TraceNormProx, singular_value_threshold
+from repro.perf.warm_svt import WarmStartSVT
+
+
+def _capped(rank: int) -> WarmStartSVT:
+    """The rank-``rank`` truncated SVT, forced off the dense path."""
+    return WarmStartSVT(initial_rank=rank, max_rank=rank, dense_cutoff=4)
 
 
 @pytest.fixture()
@@ -28,25 +36,25 @@ class TestTruncatedSvt:
         singular = np.linalg.svd(low_rank_plus_noise, compute_uv=False)
         threshold = float(singular[3] + 1.0)  # keeps only the top 3
         exact = singular_value_threshold(low_rank_plus_noise, threshold)
-        truncated = truncated_singular_value_threshold(
-            low_rank_plus_noise, threshold, rank=5
-        )
+        engine = _capped(5)
+        truncated = engine.apply(low_rank_plus_noise, threshold)
         assert np.allclose(exact, truncated, atol=1e-6)
+        assert engine.stats["dense_applies"] == 0
 
     def test_falls_back_to_dense_for_large_rank(self, rng):
         matrix = rng.normal(size=(6, 6))
         exact = singular_value_threshold(matrix, 0.2)
-        out = truncated_singular_value_threshold(matrix, 0.2, rank=10)
+        out = _capped(10).apply(matrix, 0.2)
         assert np.allclose(exact, out)
 
-    def test_invalid_rank(self, rng):
-        with pytest.raises(ValueError, match="rank"):
-            truncated_singular_value_threshold(rng.normal(size=(4, 4)), 0.1, 0)
+    def test_invalid_rank(self):
+        with pytest.raises(ValueError, match="initial_rank"):
+            WarmStartSVT(initial_rank=0)
 
     def test_output_rank_bounded(self, low_rank_plus_noise):
-        out = truncated_singular_value_threshold(
-            low_rank_plus_noise, 0.5, rank=4
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncatedSVTWarning)
+            out = _capped(4).apply(low_rank_plus_noise, 0.5)
         singular = np.linalg.svd(out, compute_uv=False)
         assert (singular > 1e-8).sum() <= 4
 
@@ -57,11 +65,11 @@ class TestLossyTruncationWarning:
         u = rng.normal(size=(30, 6))
         matrix = u @ u.T * 5.0  # six comparable directions
         tracer = Tracer()
+        engine = _capped(2)
         with tracer.trace("svt") as trace, pytest.warns(TruncatedSVTWarning):
-            truncated_singular_value_threshold(
-                matrix, 0.01, rank=2, tracer=tracer
-            )
+            engine.apply(matrix, 0.01, tracer=tracer)
         assert tracer.counters["svt.lossy_truncations"] == 1
+        assert engine.stats["lossy_truncations"] == 1
         assert trace.metrics["svt.tail_excess"][0] > 0.0
 
     def test_silent_when_tail_below_threshold(self, low_rank_plus_noise):
@@ -70,28 +78,29 @@ class TestLossyTruncationWarning:
         tracer = Tracer()
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncatedSVTWarning)
-            truncated_singular_value_threshold(
-                low_rank_plus_noise, threshold, rank=5, tracer=tracer
-            )
+            _capped(5).apply(low_rank_plus_noise, threshold, tracer=tracer)
         assert "svt.lossy_truncations" not in tracer.counters
 
 
 class TestTraceNormProxMaxRank:
+    """``TraceNormProx`` over a ``max_rank``-capped engine."""
+
     def test_max_rank_path(self, low_rank_plus_noise):
         singular = np.linalg.svd(low_rank_plus_noise, compute_uv=False)
         threshold = float(singular[3] + 1.0)
         exact = TraceNormProx(threshold).apply(low_rank_plus_noise, 1.0)
-        truncated = TraceNormProx(threshold, max_rank=5).apply(
+        truncated = TraceNormProx(threshold, engine=_capped(5)).apply(
             low_rank_plus_noise, 1.0
         )
         assert np.allclose(exact, truncated, atol=1e-6)
 
     def test_invalid_max_rank(self):
-        with pytest.raises(ValueError):
-            TraceNormProx(1.0, max_rank=0)
+        with pytest.raises(ValueError, match="max_rank"):
+            TraceNormProx(1.0, engine=WarmStartSVT(max_rank=0))
 
     def test_repr_mentions_rank(self):
-        assert "max_rank=7" in repr(TraceNormProx(1.0, max_rank=7))
+        prox = TraceNormProx(1.0, engine=WarmStartSVT(max_rank=7))
+        assert "max_rank=7" in repr(prox)
 
 
 class TestSlamPredSvdRank:

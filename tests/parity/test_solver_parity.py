@@ -72,7 +72,6 @@ def _solver_pair(adjacency, step=1e-3, inner=10, outer=3):
         prox_terms=proxes(),
         inner_solver=ForwardBackwardSolver(step_size=step, criterion=criterion()),
         outer_criterion=outer_criterion(),
-        fuse_smooth=True,
     )
     return factored, dense
 
@@ -214,12 +213,17 @@ class TestModelParity:
 
 class TestFigure3ScaleDrift:
     def test_factored_auc_within_1e3_of_exact(self):
-        """SLAMPRED-T at scale 140 (8×6 iterations, seed 1), both ways."""
+        """SLAMPRED-T at scale 140 (8×6 iterations, seed 1), both ways.
+
+        The dense side takes the factored path's step 0.05 and a tolerance
+        that lets neither loop stop early, so both run the same budget.
+        """
         aligned = generate_aligned_pair(scale=140, random_state=1)
         graph = SocialGraph.from_network(aligned.target)
         split = k_fold_link_splits(graph, n_folds=5, random_state=1)[0]
         aucs = []
-        for options in ({"exact": True}, {"factored": True}):
+        dense = {"step_size": 0.05, "tolerance": 1e-12}
+        for options in (dense, {"factored": True}):
             task = TransferTask(
                 target=aligned.target,
                 training_graph=split.training_graph,
@@ -265,10 +269,6 @@ class TestFitAdjacency:
             SlamPredT(factored=True).fit_adjacency(
                 _random_adjacency(10, 3, 1)
             )
-
-    def test_exact_and_factored_are_mutually_exclusive(self):
-        with pytest.raises(ConfigurationError, match="mutually exclusive"):
-            SlamPredH(exact=True, factored=True)
 
     def test_checkpointing_is_dense_only(self, task, tmp_path):
         with pytest.raises(ConfigurationError, match="dense-path"):

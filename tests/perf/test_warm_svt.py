@@ -140,7 +140,7 @@ def _rank_capped_reference(
     matrix: np.ndarray, threshold: float, cap: int
 ) -> np.ndarray:
     """The best-effort rank-capped SVT via a dense SVD (the truth the
-    legacy truncated path approximates with Lanczos)."""
+    capped engine approximates)."""
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     shrunk = np.maximum(s[:cap] - threshold, 0.0)
     r = int(np.count_nonzero(shrunk))

@@ -5,21 +5,22 @@ The properties the solver correctness rests on:
 * soft thresholding is *firmly* nonexpansive (the defining inequality of a
   proximal map) and matches its closed form entry-wise;
 * SVT never produces larger singular values than its input, and the
-  truncated Lanczos path agrees with the dense path whenever ``rank`` is
-  not actually discarding spectrum;
+  truncated SVT (a rank-capped :class:`~repro.perf.warm_svt.WarmStartSVT`)
+  agrees with the dense path whenever ``rank`` is not actually
+  discarding spectrum;
 * zero thresholds are the identity.
 """
+
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.optim.proximal import (
-    singular_value_threshold,
-    soft_threshold,
-    truncated_singular_value_threshold,
-)
+from repro.exceptions import TruncatedSVTWarning
+from repro.optim.proximal import singular_value_threshold, soft_threshold
+from repro.perf.warm_svt import WarmStartSVT
 
 matrices = hnp.arrays(
     dtype=float,
@@ -41,6 +42,18 @@ matrix_pairs = st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
     )
 )
 thresholds = st.floats(0, 5, allow_nan=False)
+
+
+def _truncated_svt(matrix, threshold, rank):
+    """The rank-``rank`` truncated SVT, forced off the dense shortcut.
+
+    A numerically zero tail above a zero threshold counts as lossy, so
+    the lossy-truncation warning is silenced here.
+    """
+    engine = WarmStartSVT(initial_rank=rank, max_rank=rank, dense_cutoff=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncatedSVTWarning)
+        return engine.apply(matrix, threshold)
 
 
 def _low_rank(seed: int, n: int, rank: int, scale: float) -> np.ndarray:
@@ -107,15 +120,13 @@ class TestTruncatedSvtContracts:
     ):
         """On a rank-r matrix, any truncation rank ≥ r is exact.
 
-        The discarded tail is identically zero, so the Lanczos path and the
-        dense path compute the same prox.
+        The discarded tail is identically zero, so the truncated path and
+        the dense path compute the same prox.
         """
         matrix = _low_rank(seed, n, true_rank, scale=3.0)
         rank = min(true_rank + slack, n - 2)
         dense = singular_value_threshold(matrix, threshold)
-        truncated = truncated_singular_value_threshold(
-            matrix, threshold, rank
-        )
+        truncated = _truncated_svt(matrix, threshold, rank)
         assert np.allclose(dense, truncated, atol=1e-6)
 
     @settings(max_examples=25)
@@ -130,7 +141,7 @@ class TestTruncatedSvtContracts:
         """Rank-covering truncation at threshold 0 reproduces the matrix."""
         matrix = _low_rank(seed, n, true_rank, scale=3.0)
         rank = min(true_rank + 1, n - 2)
-        out = truncated_singular_value_threshold(matrix, 0.0, rank)
+        out = _truncated_svt(matrix, 0.0, rank)
         assert np.allclose(out, matrix, atol=1e-6)
 
     @settings(max_examples=25)
@@ -144,13 +155,7 @@ class TestTruncatedSvtContracts:
         """The truncated path also never grows the spectrum."""
         rng = np.random.default_rng(seed)
         matrix = rng.normal(size=(n, n))
-        import warnings
-
-        from repro.exceptions import TruncatedSVTWarning
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncatedSVTWarning)
-            out = truncated_singular_value_threshold(matrix, threshold, rank)
+        out = _truncated_svt(matrix, threshold, rank)
         before = np.sort(np.linalg.svd(matrix, compute_uv=False))[::-1]
         after = np.sort(np.linalg.svd(out, compute_uv=False))[::-1]
         assert np.all(after <= before + 1e-6)

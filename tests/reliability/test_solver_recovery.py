@@ -13,10 +13,8 @@ from repro.observability.tracer import Tracer
 from repro.optim.convergence import ConvergenceCriterion
 from repro.optim.forward_backward import ForwardBackwardSolver
 from repro.optim.losses import SquaredFrobeniusLoss
-from repro.optim.proximal import (
-    singular_value_threshold,
-    truncated_singular_value_threshold,
-)
+from repro.optim.proximal import singular_value_threshold
+from repro.perf.warm_svt import WarmStartSVT
 from repro.reliability.faults import GLOBAL_INJECTOR
 
 
@@ -29,14 +27,14 @@ def matrix(rng):
 class TestSvdFallbacks:
     def test_truncated_fault_falls_back_to_dense(self, matrix):
         exact = singular_value_threshold(matrix, 0.5)
+        engine = WarmStartSVT(initial_rank=5, max_rank=5, dense_cutoff=4)
         GLOBAL_INJECTOR.arm("solver.svd.truncated", times=1)
         tracer = Tracer()
         with pytest.warns(TruncatedSVTWarning, match="falling back"):
-            recovered = truncated_singular_value_threshold(
-                matrix, 0.5, rank=5, tracer=tracer
-            )
+            recovered = engine.apply(matrix, 0.5, tracer=tracer)
         np.testing.assert_allclose(recovered, exact, atol=1e-10)
         assert tracer.counters["svt.dense_fallbacks"] == 1
+        assert engine.stats["dense_fallbacks"] == 1
 
     def test_dense_fault_falls_back_to_eigh(self, matrix):
         exact = singular_value_threshold(matrix, 0.5)

@@ -100,3 +100,29 @@ def test_checker_catches_violations(tmp_path):
         "np.savez(path, scores=scores)\n"
     )
     assert check_style.check_file(str(outside)) == []
+
+
+def test_checker_flags_a_second_truncated_svt(tmp_path):
+    # Rule 8 has no opt-out marker and no package scope: a Lanczos SVD
+    # anywhere in the library is a second truncated SVT.
+    sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
+    try:
+        import check_style
+    finally:
+        sys.path.pop(0)
+    lanczos = tmp_path / "lanczos.py"
+    lanczos.write_text(
+        "import scipy.sparse.linalg as _sparse_linalg\n"
+        "from scipy.sparse.linalg import svds\n"
+        "from scipy.sparse import csr_matrix, linalg\n"
+        "from scipy import sparse\n"
+        "u, s, vt = _sparse_linalg.svds(matrix, k=6)\n"
+        "u, s, vt = svds(matrix, k=6)  # qr-ok\n"
+        "u, s, vt = np.linalg.svd(matrix, full_matrices=False)\n"
+        "engine = WarmStartSVT(initial_rank=6, max_rank=6)\n"
+    )
+    violations = check_style.check_file(str(lanczos))
+    assert len(violations) == 5
+    assert all("Lanczos SVD" in v for v in violations)
+    for lineno in (1, 2, 3, 5, 6):
+        assert any(f":{lineno}:" in v for v in violations)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Observability and reliability style gate for ``src/repro``.
 
-Seven rules, all born from real production bugs or measured slowdowns:
+Eight rules, all born from real production bugs or measured slowdowns:
 
 1. **No ``time.time()`` duration arithmetic.**  Wall-clock time jumps
    (NTP slew, suspend/resume) corrupt latency and uptime numbers; all
@@ -60,6 +60,14 @@ Seven rules, all born from real production bugs or measured slowdowns:
    Checkpoints and stream state live outside these packages and keep
    their ``.npz``.
 
+8. **One truncated SVT.**  The rank-capped SVT is the warm-started
+   engine (``repro.perf.warm_svt.WarmStartSVT`` with ``max_rank``); a
+   second one built on scipy's Lanczos ``svds`` once ran beside it,
+   selected by its own constructor options, for the few fits that asked
+   for the seed's numerics.  ``svds(`` calls and ``scipy.sparse.linalg``
+   imports anywhere under ``src/repro`` would bring it back, so they are
+   flagged with no opt-out.
+
 Run from the repo root::
 
     python tools/check_style.py
@@ -114,6 +122,13 @@ ARTIFACT_SCOPE = tuple(
     for package in ("serving", "sharding", "models")
 )
 _NPZ_WRITE = re.compile(r"\bnp\.savez(?:_compressed)?\(")
+
+# A Lanczos truncated SVD, or the scipy module that provides one.
+_LANCZOS_SVD = re.compile(
+    r"\bsvds\(|^\s*(?:import\s+scipy\.sparse\.linalg\b"
+    r"|from\s+scipy\.sparse\.linalg\s+import\b"
+    r"|from\s+scipy\.sparse\s+import\s.*\blinalg\b)"
+)
 
 
 def _relative(path: str) -> str:
@@ -181,6 +196,12 @@ def check_file(path: str) -> list:
                     f"{relpath}:{lineno}: np.savez in artifact code — a "
                     "version is a manifest plus one np.save'd .npy per "
                     "array (repro.models.persistence.save_predictor)"
+                )
+            if _LANCZOS_SVD.search(line):
+                violations.append(
+                    f"{relpath}:{lineno}: Lanczos SVD (svds / "
+                    "scipy.sparse.linalg) — the one truncated SVT is "
+                    "repro.perf.warm_svt.WarmStartSVT with max_rank"
                 )
     return violations
 
